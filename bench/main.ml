@@ -537,7 +537,39 @@ let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
 
 (* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
 
-let micro_tests () =
+(* The simulator's micro-benchmark subject: the first seeded random [mm]
+   configuration that both tiles and unrolls, i.e. the kind of kernel the
+   tuner prices, not the untransformed source. *)
+let simulator_kernel () =
+  let module Spapt = Altune_spapt.Spapt in
+  let module Verify = Altune_kernellang.Verify in
+  let mm = Spapt.create "mm" in
+  let rng = Altune_prng.Rng.create ~seed:11 in
+  let rec draw () =
+    let c = Spapt.random_config mm rng in
+    let steps = Spapt.recipe mm c in
+    let has f = List.exists f steps in
+    if
+      has (function Verify.Tile_nest _ -> true | _ -> false)
+      && has (function Verify.Unroll _ -> true | _ -> false)
+    then Spapt.transformed mm c
+    else draw ()
+  in
+  draw ()
+
+(* Minor-heap words allocated by one analyze + estimate of [k], averaged
+   over a few runs. *)
+let simulator_minor_words k =
+  let module Analysis = Altune_kernellang.Analysis in
+  let module Machine = Altune_machine.Machine in
+  let runs = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Machine.estimate Machine.default (Analysis.analyze k))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let micro_tests sim_kernel =
   let open Bechamel in
   let module Rng = Altune_prng.Rng in
   let module Dt = Altune_dynatree.Dynatree in
@@ -565,7 +597,11 @@ let micro_tests () =
                    mm_kernel)
                 (Transform.unroll ~index:"k" ~factor:4))))
   in
-  let analyzed = Analysis.analyze mm_kernel in
+  let analysis_test =
+    Test.make ~name:"analysis.analyze"
+      (Staged.stage (fun () -> ignore (Analysis.analyze sim_kernel)))
+  in
+  let analyzed = Analysis.analyze sim_kernel in
   let machine_test =
     Test.make ~name:"machine.estimate"
       (Staged.stage (fun () ->
@@ -635,6 +671,7 @@ let micro_tests () =
     rng_test;
     parse_test;
     transform_test;
+    analysis_test;
     machine_test;
     spapt_test;
     observe_test;
@@ -650,7 +687,8 @@ let run_micro () =
     Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 500) ()
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let tests = micro_tests () in
+  let sim_kernel = simulator_kernel () in
+  let tests = micro_tests sim_kernel in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%-34s %16s\n%s\n" "micro-benchmark" "ns/run"
@@ -672,6 +710,9 @@ let run_micro () =
               Buffer.add_string buf (Printf.sprintf "%-34s %16s\n" name "?"))
         results)
     tests;
+  Buffer.add_string buf
+    (Printf.sprintf "%-34s %16.0f\n" "minor words/(analyze+estimate)"
+       (simulator_minor_words sim_kernel));
   Buffer.contents buf
 
 let () =

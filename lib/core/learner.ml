@@ -103,13 +103,13 @@ type state = {
 
 exception Halted
 
-(* Fault-injection instruments (process-wide; only touched when a fault
-   spec is active, so fault-free runs never force them). *)
-let m_fault_crash = lazy (Obs_metrics.counter "learner.fault.crash")
-let m_fault_timeout = lazy (Obs_metrics.counter "learner.fault.timeout")
-let m_fault_corrupt = lazy (Obs_metrics.counter "learner.fault.corrupt")
-let m_fault_retry = lazy (Obs_metrics.counter "learner.fault.retries")
-let m_fault_dead = lazy (Obs_metrics.counter "learner.fault.dead")
+(* Fault-injection instruments (process-wide; only updated when a fault
+   spec is active). *)
+let m_fault_crash = Obs_metrics.counter "learner.fault.crash"
+let m_fault_timeout = Obs_metrics.counter "learner.fault.timeout"
+let m_fault_corrupt = Obs_metrics.counter "learner.fault.corrupt"
+let m_fault_retry = Obs_metrics.counter "learner.fault.retries"
+let m_fault_dead = Obs_metrics.counter "learner.fault.dead"
 
 let validate settings =
   if settings.n_init < 1 then invalid_arg "Learner: n_init < 1";
@@ -267,7 +267,7 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
                 lost +. Fault.backoff_seconds spec ~failures:(local + 1)
               in
               Cost.charge_failure cost charged;
-              Obs_metrics.incr (Lazy.force counter);
+              Obs_metrics.incr counter;
               Trace.with_span ~name:"learner.fault" ~phase:"profiling"
                 ~attrs:
                   [
@@ -283,7 +283,7 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
                            lost_s = charged });
               if local >= spec.max_retries then begin
                 mark_dead key;
-                Obs_metrics.incr (Lazy.force m_fault_dead);
+                Obs_metrics.incr m_fault_dead;
                 if Events.enabled () then
                   Events.emit
                     (Fault
@@ -292,7 +292,7 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
                 None
               end
               else begin
-                Obs_metrics.incr (Lazy.force m_fault_retry);
+                Obs_metrics.incr m_fault_retry;
                 go (local + 1)
               end
         in

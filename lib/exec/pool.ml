@@ -20,10 +20,10 @@ type task = {
 }
 
 (* Process-wide instruments (shared across pools): where task time goes. *)
-let m_tasks = lazy (Metrics.counter "pool.tasks")
-let m_steals = lazy (Metrics.counter "pool.steals")
-let m_wait = lazy (Metrics.histogram "pool.queue_wait_seconds")
-let m_run = lazy (Metrics.histogram "pool.task_seconds")
+let m_tasks = Metrics.counter "pool.tasks"
+let m_steals = Metrics.counter "pool.steals"
+let m_wait = Metrics.histogram "pool.queue_wait_seconds"
+let m_run = Metrics.histogram "pool.task_seconds"
 
 (* All synchronization and shared-access instrumentation goes through
    [Sync]: real primitives in production (byte-identical behaviour), the
@@ -51,10 +51,10 @@ let jobs t = t.n_jobs
    [task.run] never raises (map wraps it). *)
 let step t task =
   Sync.unlock t.lock;
-  Metrics.observe (Lazy.force m_wait)
+  Metrics.observe m_wait
     (Int64.to_float (Int64.sub (Trace.now_ns ()) task.enqueued_ns) /. 1e9);
   if Sync.self_id () <> task.submitter then
-    Metrics.incr (Lazy.force m_steals);
+    Metrics.incr m_steals;
   task.run ();
   Sync.lock t.lock;
   Sync.write task.batch.b_loc ~site:"pool.step: remaining decrement";
@@ -174,7 +174,7 @@ let mapi ?label t f xs =
         match
           let lbl = label i in
           let t0 = Unix.gettimeofday () in
-          Metrics.incr (Lazy.force m_tasks);
+          Metrics.incr m_tasks;
           emit t (Task_started { index = i; label = lbl });
           let v =
             Trace.with_ctx ctx (fun () ->
@@ -183,7 +183,7 @@ let mapi ?label t f xs =
                   (fun () -> f i items.(i)))
           in
           let wall_seconds = Unix.gettimeofday () -. t0 in
-          Metrics.observe (Lazy.force m_run) wall_seconds;
+          Metrics.observe m_run wall_seconds;
           emit t (Task_finished { index = i; label = lbl; wall_seconds });
           v
         with

@@ -23,18 +23,47 @@ type t = {
   straightline_stmts : float;
 }
 
-(* Environment: parameters and average values of live loop indices.
+(* Environment of one loop body.  The live loop indices sit innermost
+   first in [names], with their mid-range values in [mids]; a variable
+   resolves to the innermost live index of that name, else to a parameter.
    [expansion] maps a live index whose lower bound depends on enclosing
    indices (strip-mined point loops: [for i = i_t to min(i_t + T - 1, ...)])
    to the fully-folded affine coefficients of that bound, so that an access
-   subscripted by [i] is correctly seen to sweep with [i_t] as well. *)
+   subscripted by [i] is correctly seen to sweep with [i_t] as well.  All
+   name lookups are monomorphic string comparisons. *)
 type env = {
-  values : (string * float) list;
-  live : string list;
+  names : string array;
+  mids : float array;
+  params : (string * float) list;
   expansion : (string * (string * float) list) list;
 }
 
 exception Non_affine
+
+(* Names are short and mostly differ in length or first letter, so those
+   tests come before the byte comparison. *)
+let same_name a b =
+  a == b
+  ||
+  let n = String.length a in
+  n = String.length b
+  && (n = 0 || String.unsafe_get a 0 = String.unsafe_get b 0)
+  && String.equal a b
+
+let rec assoc_name name = function
+  | [] -> None
+  | (k, v) :: rest -> if same_name k name then Some v else assoc_name name rest
+
+let assoc_or_zero name alist =
+  match assoc_name name alist with Some c -> c | None -> 0.0
+
+(* Innermost live position of [name], or -1. *)
+let live_pos names name =
+  let n = Array.length names in
+  let rec go p =
+    if p >= n then -1 else if same_name names.(p) name then p else go (p + 1)
+  in
+  go 0
 
 (* Numeric evaluation of an expression under average index values.  Used
    for loop bounds; Min/Max/Idiv are common there (tile edges, unroll
@@ -44,9 +73,12 @@ let rec eval_avg env (e : Ast.expr) : float =
   | Int_lit n -> float_of_int n
   | Float_lit x -> x
   | Var x -> (
-      match List.assoc_opt x env.values with
-      | Some v -> v
-      | None -> raise Non_affine)
+      let p = live_pos env.names x in
+      if p >= 0 then env.mids.(p)
+      else
+        match assoc_name x env.params with
+        | Some v -> v
+        | None -> raise Non_affine)
   | Index _ -> raise Non_affine
   | Binop (op, a, b) -> (
       let x = eval_avg env a and y = eval_avg env b in
@@ -62,26 +94,175 @@ let rec eval_avg env (e : Ast.expr) : float =
   | Neg a -> -.eval_avg env a
   | Sqrt a -> sqrt (eval_avg env a)
 
-(* Affine coefficient of [var] in an integer expression, with all other
-   live indices treated as symbolic (coefficient extraction) and parameters
-   as constants.  Raises [Non_affine] on products of two var-dependent
-   terms, or Idiv/Mod/Min/Max applied to var-dependent operands. *)
-let rec coeff env var (e : Ast.expr) : float =
-  let depends e = List.exists (fun v -> List.mem v env.live) (Ast.free_vars e) in
+(* Whether [e] mentions a live index. *)
+let rec depends names (e : Ast.expr) =
   match e with
-  | Int_lit _ | Float_lit _ -> 0.0
-  | Var x -> if x = var then 1.0 else 0.0
+  | Int_lit _ | Float_lit _ -> false
+  | Var x -> live_pos names x >= 0
+  | Index (_, subs) -> List.exists (depends names) subs
+  | Binop (_, a, b) -> depends names a || depends names b
+  | Neg a | Sqrt a -> depends names a
+
+(* What every access of one loop body shares, built once per body:
+   [env0] has all live indices at zero (evaluating a subscript there
+   yields the constant term of its affine form); [first.(p)] is the
+   innermost position carrying the name of position [p]; [expanded] lists
+   the positions whose index has an expansion, with that expansion as
+   coefficients over positions in [rows]. *)
+type scope = {
+  env : env;
+  env0 : env;
+  first : int array;
+  expanded : int array;
+  rows : float array array;
+}
+
+let scope_of env =
+  let n = Array.length env.names in
+  let expanded =
+    List.filter_map
+      (fun q ->
+        Option.map
+          (fun exp_u ->
+            (q, Array.map (fun v -> assoc_or_zero v exp_u) env.names))
+          (assoc_name env.names.(q) env.expansion))
+      (List.init n Fun.id)
+  in
+  {
+    env;
+    env0 = { env with mids = Array.make n 0.0 };
+    first = Array.map (live_pos env.names) env.names;
+    expanded = Array.of_list (List.map fst expanded);
+    rows = Array.of_list (List.map snd expanded);
+  }
+
+(* Affine coefficients of an integer expression, one per live position,
+   with parameters as constants.  Most subscripts are a live index plus a
+   constant, so the all-zero and unit forms stay symbolic; any other
+   combination is a dense array.  Each component is the same arithmetic,
+   in the same order, as extracting that index's coefficient on its own:
+   the symbolic shortcuts are exact ([1 + 0 = 1 - 0 = 1], [0 + 0 = 0 - 0 =
+   0]) and everything that could yield [-0.] goes dense. *)
+type form =
+  | Zero  (** [0.] at every position. *)
+  | Unit of int
+      (** [Unit p]: [1.] at every position whose index has the name of
+          position [p], its innermost occurrence; [0.] elsewhere. *)
+  | Dense of float array
+
+let dense sc = function
+  | Dense c -> c
+  | Zero -> Array.make (Array.length sc.first) 0.0
+  | Unit p0 -> Array.map (fun q -> if q = p0 then 1.0 else 0.0) sc.first
+
+(* Raises [Non_affine] on products of two index-dependent terms, or
+   Idiv/Mod/Min/Max applied to index-dependent operands. *)
+let rec coeffs sc (e : Ast.expr) : form =
+  let env = sc.env in
+  match e with
+  | Int_lit _ | Float_lit _ -> Zero
+  | Var x ->
+      let p = live_pos env.names x in
+      if p >= 0 then Unit p else Zero
   | Index _ -> raise Non_affine
-  | Neg a -> -.coeff env var a
-  | Sqrt a -> if depends a then raise Non_affine else 0.0
-  | Binop (Add, a, b) -> coeff env var a +. coeff env var b
-  | Binop (Sub, a, b) -> coeff env var a -. coeff env var b
+  | Neg a -> Dense (Array.map (fun c -> -.c) (dense sc (coeffs sc a)))
+  | Sqrt a -> if depends env.names a then raise Non_affine else Zero
+  | Binop (Add, a, b) -> (
+      match (coeffs sc a, coeffs sc b) with
+      | Zero, Zero -> Zero
+      | (Unit _ as u), Zero | Zero, (Unit _ as u) -> u
+      | ca, cb -> Dense (Array.map2 ( +. ) (dense sc ca) (dense sc cb)))
+  | Binop (Sub, a, b) -> (
+      match (coeffs sc a, coeffs sc b) with
+      | Zero, Zero -> Zero
+      | (Unit _ as u), Zero -> u
+      | ca, cb -> Dense (Array.map2 ( -. ) (dense sc ca) (dense sc cb)))
   | Binop (Mul, a, b) ->
-      if not (depends a) then eval_avg env a *. coeff env var b
-      else if not (depends b) then coeff env var a *. eval_avg env b
+      if not (depends env.names a) then
+        let k = eval_avg env a in
+        Dense (Array.map (fun c -> k *. c) (dense sc (coeffs sc b)))
+      else if not (depends env.names b) then
+        let k = eval_avg env b in
+        Dense (Array.map (fun c -> c *. k) (dense sc (coeffs sc a)))
       else raise Non_affine
   | Binop ((Div | Idiv | Mod | Min | Max), a, b) ->
-      if depends a || depends b then raise Non_affine else 0.0
+      if depends env.names a || depends env.names b then raise Non_affine
+      else Zero
+
+(* [raw.(p) <- raw.(p) + f.(p) * s] at every position. *)
+let accumulate sc raw f s =
+  match f with
+  | Dense c ->
+      for p = 0 to Array.length raw - 1 do
+        raw.(p) <- raw.(p) +. (c.(p) *. s)
+      done
+  | Zero ->
+      for p = 0 to Array.length raw - 1 do
+        raw.(p) <- raw.(p) +. (0.0 *. s)
+      done
+  | Unit p0 ->
+      for p = 0 to Array.length raw - 1 do
+        let c = if sc.first.(p) = p0 then 1.0 else 0.0 in
+        raw.(p) <- raw.(p) +. (c *. s)
+      done
+
+(* Fold bound-induced dependence: a coefficient on a strip-mined point
+   index also sweeps with the indices its lower bound ranges over.  From
+   the direct coefficients [raw], returns the nonzero folded coefficients
+   as [(index, c)], innermost first.  With [sparse], zero direct
+   coefficients are treated as absent, as in a lower bound's own
+   (filtered) coefficient list. *)
+let folded_coeffs sc raw ~sparse =
+  let names = sc.env.names in
+  let acc = ref [] in
+  for p = Array.length names - 1 downto 0 do
+    let extra = ref 0.0 in
+    for i = 0 to Array.length sc.expanded - 1 do
+      let q = sc.expanded.(i) in
+      if (not sparse) || raw.(q) <> 0.0 then
+        extra := !extra +. (raw.(q) *. sc.rows.(i).(p))
+    done;
+    let own = raw.(sc.first.(p)) in
+    let own = if sparse && not (own <> 0.0) then 0.0 else own in
+    let c = own +. !extra in
+    if c <> 0.0 then acc := (names.(p), c) :: !acc
+  done;
+  !acc
+
+type array_info = { extents : float array; strides : float array }
+
+(* Row-major flat-offset coefficient: sum over dimensions of the subscript
+   coefficient times the product of the extents of later dimensions
+   ([strides.(k)], precomputed per array; 1 past the declared rank and for
+   undeclared arrays). *)
+let row_stride strides k = if k < Array.length strides then strides.(k) else 1.0
+
+let access_of sc ~dims ~is_write array subs =
+  let strides =
+    match assoc_name array dims with Some i -> i.strides | None -> [||]
+  in
+  let names = sc.env.names in
+  match
+    let coeffs =
+      if Array.length names = 0 then []
+      else begin
+        let raw = Array.make (Array.length names) 0.0 in
+        List.iteri
+          (fun k sub -> accumulate sc raw (coeffs sc sub) (row_stride strides k))
+          subs;
+        folded_coeffs sc raw ~sparse:false
+      end
+    in
+    let offset = ref 0.0 in
+    List.iteri
+      (fun k sub ->
+        offset := !offset +. (eval_avg sc.env0 sub *. row_stride strides k))
+      subs;
+    (coeffs, !offset)
+  with
+  | coeffs, offset -> { array; is_write; coeffs; offset; affine = true }
+  | exception Non_affine ->
+      { array; is_write; coeffs = []; offset = 0.0; affine = false }
 
 let count_ops (e : Ast.expr) =
   (* flops: operators outside subscripts; iops: operators inside them. *)
@@ -104,99 +285,41 @@ let count_ops (e : Ast.expr) =
   in
   go false e
 
-(* Row-major flat-offset coefficient: sum over dimensions of the subscript
-   coefficient times the product of the extents of later dimensions. *)
-let access_of ~env ~dims ~is_write array subs =
-  let rank = List.length subs in
-  let extents =
-    match List.assoc_opt array dims with
-    | Some e -> e
-    | None -> Array.make rank 1.0
-  in
-  let row_stride k =
-    let s = ref 1.0 in
-    for j = k + 1 to Array.length extents - 1 do
-      s := !s *. extents.(j)
-    done;
-    !s
-  in
-  let env0 =
-    (* All live indices at zero: evaluating a subscript in env0 yields the
-       constant term of its affine form. *)
-    {
-      env with
-      values =
-        List.map
-          (fun (name, v) -> if List.mem name env.live then (name, 0.0) else (name, v))
-          env.values;
-    }
-  in
-  match
-    let raw =
-      List.map
-        (fun var ->
-          let c = ref 0.0 in
-          List.iteri
-            (fun k sub -> c := !c +. (coeff env var sub *. row_stride k))
-            subs;
-          (var, !c))
-        env.live
-    in
-    let lookup alist v =
-      match List.assoc_opt v alist with Some c -> c | None -> 0.0
-    in
-    (* Fold bound-induced dependence: a subscript coefficient on a
-       strip-mined point index also sweeps with the indices its lower
-       bound ranges over. *)
-    let coeffs =
-      List.map
-        (fun v ->
-          let extra =
-            List.fold_left
-              (fun acc (u, cu) ->
-                match List.assoc_opt u env.expansion with
-                | Some exp_u -> acc +. (cu *. lookup exp_u v)
-                | None -> acc)
-              0.0 raw
-          in
-          (v, lookup raw v +. extra))
-        env.live
-    in
-    let offset = ref 0.0 in
-    List.iteri
-      (fun k sub -> offset := !offset +. (eval_avg env0 sub *. row_stride k))
-      subs;
-    (coeffs, !offset)
-  with
-  | coeffs, offset ->
-      let coeffs = List.filter (fun (_, c) -> c <> 0.0) coeffs in
-      { array; is_write; coeffs; offset; affine = true }
-  | exception Non_affine ->
-      { array; is_write; coeffs = []; offset = 0.0; affine = false }
-
 let rec exprs_of_cond (c : Ast.cond) =
   match c with
   | Cmp (_, a, b) -> [ a; b ]
   | And (a, b) | Or (a, b) -> exprs_of_cond a @ exprs_of_cond b
   | Not a -> exprs_of_cond a
 
+type stats = {
+  s_accs : access list;  (* reversed while collecting *)
+  s_loops : Ast.loop list;  (* reversed while collecting *)
+  s_flops : float;
+  s_iops : float;
+  s_stmts : float;
+}
+
 (* Direct statistics of statements under [s], stopping at nested loops,
-   which are returned separately for recursion. *)
-let rec direct_stats ~env ~dims (s : Ast.stmt) =
+   which are collected separately for recursion.  Accesses and loops are
+   pushed onto the reversed lists of [st]; the counts are those of [s]
+   alone. *)
+let rec direct_stats sc ~dims (s : Ast.stmt) st =
   match s with
   | Assign (lhs, rhs) ->
-      let rec accesses_of_expr e =
+      let rec reads e accs =
         match e with
-        | Ast.Int_lit _ | Float_lit _ | Var _ -> []
+        | Ast.Int_lit _ | Float_lit _ | Var _ -> accs
         | Index (a, subs) ->
-            access_of ~env ~dims ~is_write:false a subs
-            :: List.concat_map accesses_of_expr subs
-        | Binop (_, a, b) -> accesses_of_expr a @ accesses_of_expr b
-        | Neg a | Sqrt a -> accesses_of_expr a
+            List.fold_left
+              (fun accs s -> reads s accs)
+              (access_of sc ~dims ~is_write:false a subs :: accs)
+              subs
+        | Binop (_, a, b) -> reads b (reads a accs)
+        | Neg a | Sqrt a -> reads a accs
       in
-      let write, wf, wi =
+      let accs, wf, wi =
         match lhs with
-        | Scalar_lhs _ -> ([], 0, 0)
+        | Scalar_lhs _ -> (st.s_accs, 0, 0)
         | Array_lhs (a, subs) ->
             let f, i =
               List.fold_left
@@ -205,22 +328,29 @@ let rec direct_stats ~env ~dims (s : Ast.stmt) =
                   (f + f', i + i' + 1))
                 (0, 0) subs
             in
-            ([ access_of ~env ~dims ~is_write:true a subs ], f, i)
+            (access_of sc ~dims ~is_write:true a subs :: st.s_accs, f, i)
       in
       let rf, ri = count_ops rhs in
-      let reads = accesses_of_expr rhs in
-      ( write @ reads,
-        float_of_int (rf + wf),
-        float_of_int (ri + wi),
-        1.0,
-        [] )
+      {
+        s_accs = reads rhs accs;
+        s_loops = st.s_loops;
+        s_flops = float_of_int (rf + wf);
+        s_iops = float_of_int (ri + wi);
+        s_stmts = 1.0;
+      }
   | Seq ss ->
       List.fold_left
-        (fun (a, f, i, n, loops) s ->
-          let a', f', i', n', loops' = direct_stats ~env ~dims s in
-          (a @ a', f +. f', i +. i', n +. n', loops @ loops'))
-        ([], 0.0, 0.0, 0.0, []) ss
-  | For l -> ([], 0.0, 0.0, 0.0, [ l ])
+        (fun acc s ->
+          let s' = direct_stats sc ~dims s acc in
+          {
+            s' with
+            s_flops = acc.s_flops +. s'.s_flops;
+            s_iops = acc.s_iops +. s'.s_iops;
+            s_stmts = acc.s_stmts +. s'.s_stmts;
+          })
+        { st with s_flops = 0.0; s_iops = 0.0; s_stmts = 0.0 }
+        ss
+  | For l -> { st with s_loops = l :: st.s_loops; s_flops = 0.0; s_iops = 0.0; s_stmts = 0.0 }
   | If (c, t, e) ->
       (* Count both branches at half weight: a cheap expected-cost model of
          data-dependent branches. *)
@@ -231,89 +361,76 @@ let rec direct_stats ~env ~dims (s : Ast.stmt) =
             acc + f + i)
           0 (exprs_of_cond c)
       in
-      let at, ft, it, nt, lt = direct_stats ~env ~dims t in
-      let ae, fe, ie, ne, le =
+      let t' = direct_stats sc ~dims t st in
+      let e' =
         match e with
-        | None -> ([], 0.0, 0.0, 0.0, [])
-        | Some e -> direct_stats ~env ~dims e
+        | None -> { t' with s_flops = 0.0; s_iops = 0.0; s_stmts = 0.0 }
+        | Some e -> direct_stats sc ~dims e t'
       in
-      ( at @ ae,
-        ((ft +. fe) /. 2.0) +. float_of_int cond_iops,
-        (it +. ie) /. 2.0,
-        ((nt +. ne) /. 2.0) +. 1.0,
-        lt @ le )
+      {
+        e' with
+        s_flops = ((t'.s_flops +. e'.s_flops) /. 2.0) +. float_of_int cond_iops;
+        s_iops = (t'.s_iops +. e'.s_iops) /. 2.0;
+        s_stmts = ((t'.s_stmts +. e'.s_stmts) /. 2.0) +. 1.0;
+      }
 
-let rec build_loop ~env ~dims (l : Ast.loop) : loop_node =
+let body_stats sc ~dims s =
+  let st =
+    direct_stats sc ~dims s
+      { s_accs = []; s_loops = []; s_flops = 0.0; s_iops = 0.0; s_stmts = 0.0 }
+  in
+  { st with s_accs = List.rev st.s_accs; s_loops = List.rev st.s_loops }
+
+let rec build_loop sc ~dims (l : Ast.loop) : loop_node =
+  let env = sc.env in
   let lo = try eval_avg env l.lo with Non_affine -> 0.0 in
   let hi = try eval_avg env l.hi with Non_affine -> lo -. 1.0 in
   (* Constant bounds get the exact floored trip count; bounds involving
      enclosing indices are mid-range averages, where keeping the
      fractional part is the better estimator (e.g. triangular loops). *)
-  let depends_on_live e =
-    List.exists (fun v -> List.mem v env.live) (Ast.free_vars e)
-  in
   let raw = (hi -. lo) /. float_of_int l.step in
   let trips =
-    if depends_on_live l.lo || depends_on_live l.hi then
+    if depends env.names l.lo || depends env.names l.hi then
       Float.max 0.0 (raw +. 1.0)
     else Float.max 0.0 (Float.floor raw +. 1.0)
   in
   let mid = (lo +. hi) /. 2.0 in
   (* Fully-folded expansion of this loop's lower bound over enclosing
-     indices. *)
+     indices; only its nonzero direct coefficients take part. *)
   let lo_expansion =
-    let raw =
-      List.filter_map
-        (fun v ->
-          match coeff env v l.lo with
-          | c when c <> 0.0 -> Some (v, c)
-          | _ -> None
-          | exception Non_affine -> None)
-        env.live
-    in
-    let lookup alist v =
-      match List.assoc_opt v alist with Some c -> c | None -> 0.0
-    in
-    List.filter_map
-      (fun v ->
-        let extra =
-          List.fold_left
-            (fun acc (u, cu) ->
-              match List.assoc_opt u env.expansion with
-              | Some exp_u -> acc +. (cu *. lookup exp_u v)
-              | None -> acc)
-            0.0 raw
-        in
-        let total = lookup raw v +. extra in
-        if total = 0.0 then None else Some (v, total))
-      env.live
+    if Array.length env.names = 0 then []
+    else
+      match coeffs sc l.lo with
+      | exception Non_affine -> []
+      | f -> folded_coeffs sc (dense sc f) ~sparse:true
   in
   let env' =
     {
-      values = (l.index, mid) :: env.values;
-      live = l.index :: env.live;
+      names = Array.append [| l.index |] env.names;
+      mids = Array.append [| mid |] env.mids;
+      params = env.params;
       expansion =
-        (if lo_expansion = [] then env.expansion
-         else (l.index, lo_expansion) :: env.expansion);
+        (match lo_expansion with
+        | [] -> env.expansion
+        | _ -> (l.index, lo_expansion) :: env.expansion);
     }
   in
-  let accesses, flops, iops, stmts, loops =
-    direct_stats ~env:env' ~dims l.body
-  in
-  let children = List.map (build_loop ~env:env' ~dims) loops in
-  { index = l.index; trips; step = l.step; accesses; flops; iops; stmts;
-    children }
+  let sc' = scope_of env' in
+  let st = body_stats sc' ~dims l.body in
+  let children = List.map (build_loop sc' ~dims) st.s_loops in
+  { index = l.index; trips; step = l.step; accesses = st.s_accs;
+    flops = st.s_flops; iops = st.s_iops; stmts = st.s_stmts; children }
 
 let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
   let params =
     List.map
       (fun (name, v) ->
-        match List.assoc_opt name param_overrides with
+        match assoc_name name param_overrides with
         | Some v' -> (name, float_of_int v')
         | None -> (name, float_of_int v))
       kernel.params
   in
-  let env = { values = params; live = []; expansion = [] } in
+  let env = { names = [||]; mids = [||]; params; expansion = [] } in
   let dims =
     List.map
       (fun (d : Ast.array_decl) ->
@@ -323,17 +440,28 @@ let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
                (fun e -> try eval_avg env e with Non_affine -> 1.0)
                d.dims)
         in
-        (d.array_name, extents))
+        let strides =
+          Array.mapi
+            (fun k _ ->
+              let s = ref 1.0 in
+              for j = k + 1 to Array.length extents - 1 do
+                s := !s *. extents.(j)
+              done;
+              !s)
+            extents
+        in
+        (d.array_name, { extents; strides }))
       kernel.arrays
   in
   let array_elements =
     List.map
-      (fun (name, extents) -> (name, Array.fold_left ( *. ) 1.0 extents))
+      (fun (name, info) -> (name, Array.fold_left ( *. ) 1.0 info.extents))
       dims
   in
-  let _, _, _, straightline, loops = direct_stats ~env ~dims kernel.body in
-  let roots = List.map (build_loop ~env ~dims) loops in
-  { roots; array_elements; straightline_stmts = straightline }
+  let sc = scope_of env in
+  let st = body_stats sc ~dims kernel.body in
+  let roots = List.map (build_loop sc ~dims) st.s_loops in
+  { roots; array_elements; straightline_stmts = st.s_stmts }
 
 let rec fold_loops f acc ~entered node =
   let acc = f acc ~entered node in

@@ -59,6 +59,10 @@ val innermost_code_size : loop_node -> float
     loops' bodies — the quantity compared against the I-cache capacity to
     model unrolling's code bloat. *)
 
+val assoc_name : string -> (string * 'a) list -> 'a option
+(** [List.assoc_opt] on index and array names, without polymorphic
+    compare: the simulator's hot loops look names up all the time. *)
+
 val analyze : ?param_overrides:(string * int) list -> Ast.kernel -> t
 (** Analyze a kernel under its default (or overridden) problem-size
     parameters. *)

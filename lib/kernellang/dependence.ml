@@ -192,10 +192,12 @@ let test_dimension ~loop_indices s1 s2 =
       else Vague vars
 
 (* Solve the collected constraints: propagate exactly-known distances
-   through linear constraints until fixpoint.  Returns [None] when the
-   system is infeasible (no dependence), otherwise the per-variable
-   direction for every common loop. *)
-let solve_dimensions common dims =
+   through linear constraints until fixpoint.  A known distance on a
+   common loop with a residue modulus (see [residue_moduli]) must be a
+   multiple of it.  Returns [None] when the system is infeasible (no
+   dependence), otherwise the per-variable direction for every common
+   loop. *)
+let solve_dimensions ~moduli common dims =
   let known : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let vague : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let constraints = ref [] in
@@ -246,6 +248,12 @@ let solve_dimensions common dims =
           | _ :: _ :: _ -> Some (unknowns, residual))
         !constraints
   done;
+  List.iter
+    (fun v ->
+      match (Hashtbl.find_opt known v, List.assoc_opt v moduli) with
+      | Some d, Some m when d mod m <> 0 -> infeasible := true
+      | _ -> ())
+    common;
   if !infeasible then None
   else begin
     (* Variables still inside unsolved multi-var constraints are
@@ -267,7 +275,7 @@ let solve_dimensions common dims =
 
 (* --- Building dependences --- *)
 
-let directions_for ~loop_indices (a1 : access) (a2 : access) =
+let directions_for ?(moduli = []) ~loop_indices (a1 : access) (a2 : access) =
   let common = List.filter (fun l -> List.mem l a2.loops) a1.loops in
   if List.length a1.subscripts <> List.length a2.subscripts then
     Some (List.map (fun l -> (l, Star)) common)
@@ -277,7 +285,7 @@ let directions_for ~loop_indices (a1 : access) (a2 : access) =
         (fun s1 s2 -> test_dimension ~loop_indices s1 s2)
         a1.subscripts a2.subscripts
     in
-    solve_dimensions common dims
+    solve_dimensions ~moduli common dims
   end
 
 (* Keep loop order (outermost first) in the direction vector. *)
@@ -343,9 +351,52 @@ let propagate_bound_eq parents dirs =
   done;
   !dirs
 
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+(* Residue moduli: [(v, m)] when every value of loop index [v] lies in one
+   residue class modulo [m > 1].  A loop of step [s] takes the values
+   [lo + s*n]; when [lo] is affine in enclosing indices that are
+   themselves fixed modulo [m_u], it is fixed modulo the gcd of its
+   [|c_u| * m_u], so [v] is fixed modulo the gcd of that and [s].  Two
+   iterations of such a loop are a multiple of [m] apart, which keeps the
+   translated copies of an unrolled body ([C[j]], [C[j + 1]], ... under
+   [step 4]) independent.  Index names used by more than one loop get no
+   modulus. *)
+let residue_moduli (k : Ast.kernel) =
+  let loop_indices = Ast.loop_indices k.body in
+  let unique v =
+    List.length (List.filter (String.equal v) loop_indices) = 1
+  in
+  let rec go acc (s : Ast.stmt) =
+    match s with
+    | Assign _ -> acc
+    | Seq ss -> List.fold_left go acc ss
+    | If (_, t, e) ->
+        let acc = go acc t in
+        (match e with None -> acc | Some e -> go acc e)
+    | For l ->
+        let acc =
+          match affine_of ~loop_indices l.lo with
+          | Some lo when l.step > 1 && unique l.index ->
+              let lo_modulus =
+                List.fold_left
+                  (fun g (u, c) ->
+                    let m_u = Option.value ~default:1 (List.assoc_opt u acc) in
+                    gcd g (abs c * m_u))
+                  0 lo.coeffs
+              in
+              let m = gcd l.step lo_modulus in
+              if m > 1 then (l.index, m) :: acc else acc
+          | Some _ | None -> acc
+        in
+        go acc l.body
+  in
+  go [] k.body
+
 let dependences (k : Ast.kernel) =
   let accesses, scalars_written = collect_accesses k in
   let parents = bound_parents k in
+  let moduli = residue_moduli k in
   let loop_indices = Ast.loop_indices k.body in
   let deps = ref [] in
   let arr = Array.of_list accesses in
@@ -356,7 +407,7 @@ let dependences (k : Ast.kernel) =
       if a1.array = a2.array && (a1.is_write || a2.is_write)
          && not (i = j && not a1.is_write)
       then begin
-        match directions_for ~loop_indices a1 a2 with
+        match directions_for ~moduli ~loop_indices a1 a2 with
         | None -> ()
         | Some dirs ->
             let kind =

@@ -60,62 +60,98 @@ type breakdown = {
    coefficients: translated copies of one another, as unrolling produces.
    [distinct] counts distinct constant offsets (separate addresses),
    [mult] total accesses per iteration (for latency accounting). *)
-type stream = { rep : Analysis.access; distinct : float; mult : float }
+type stream = {
+  array : string;
+  coeffs : (string * float) list;
+  affine : bool;
+  distinct : float;
+  mult : float;
+}
 
+(* [Stdlib.compare] on coefficient lists, spelled out monomorphically. *)
+let rec compare_coeffs a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (x, c) :: a', (y, d) :: b' ->
+      let k = String.compare x y in
+      if k <> 0 then k
+      else
+        let k = Float.compare c d in
+        if k <> 0 then k else compare_coeffs a' b'
+
+(* Streams are keyed by (array, coeffs, affine), in the order
+   [Stdlib.compare] gives that triple. *)
+module Key = struct
+  type t = string * (string * float) list * bool
+
+  let compare (a1, c1, f1) (a2, c2, f2) =
+    let k = String.compare a1 a2 in
+    if k <> 0 then k
+    else
+      let k = compare_coeffs c1 c2 in
+      if k <> 0 then k else Bool.compare f1 f2
+end
+
+module Streams = Map.Make (Key)
+
+(* Structural [=] on floats, under which NaN differs from itself. *)
+let rec mem_offset (x : float) = function
+  | [] -> false
+  | y :: rest -> x = y || mem_offset x rest
+
+(* The streams of one loop body, in descending key order. *)
 let streams_of_accesses (accesses : Analysis.access list) : stream list =
-  let module M = Map.Make (struct
-    type t = string * (string * float) list * bool
-
-    let compare = compare
-  end) in
   let add acc (a : Analysis.access) =
     let key = (a.array, a.coeffs, a.affine) in
     let offsets, mult =
-      match M.find_opt key acc with
+      match Streams.find_opt key acc with
       | Some (offsets, mult) -> (offsets, mult)
       | None -> ([], 0.0)
     in
     let offsets =
-      if List.mem a.offset offsets then offsets else a.offset :: offsets
+      if mem_offset a.offset offsets then offsets else a.offset :: offsets
     in
-    M.add key (offsets, mult +. 1.0) acc
+    Streams.add key (offsets, mult +. 1.0) acc
   in
-  let grouped = List.fold_left add M.empty accesses in
-  M.fold
+  let grouped = List.fold_left add Streams.empty accesses in
+  Streams.fold
     (fun (array, coeffs, affine) (offsets, mult) acc ->
-      {
-        rep = { array; coeffs; affine; offset = 0.0; is_write = false };
-        distinct = float_of_int (List.length offsets);
-        mult;
-      }
+      { array; coeffs; affine; distinct = float_of_int (List.length offsets); mult }
       :: acc)
     grouped []
 
 (* Distinct bytes a stream touches across one full execution of the loop
-   window [chain] (outermost first).  Bounded both by the iteration-space
-   product and by the address span of the affine stream; the [distinct]
-   translated copies of an unrolled stream fill in the gaps the enlarged
-   loop step leaves. *)
-let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
-  let a = st.rep in
-  if not a.affine then
+   window [path.(first..)] (outermost first).  Bounded both by the
+   iteration-space product and by the address span of the affine stream;
+   the [distinct] translated copies of an unrolled stream fill in the gaps
+   the enlarged loop step leaves.  [coef.(i)] is the stream's coefficient
+   on [path.(i)]'s index, zero when it has none. *)
+let footprint cfg (path : Analysis.loop_node array) ~first (st : stream) coef =
+  let last = Array.length path - 1 in
+  if not st.affine then begin
     (* Unknown pattern: worst case, one line per iteration of the window. *)
-    List.fold_left (fun acc (l : Analysis.loop_node) -> acc *. Float.max 1.0 l.trips)
-      cfg.l1.line_bytes chain
+    let acc = ref cfg.l1.line_bytes in
+    for i = first to last do
+      acc := !acc *. Float.max 1.0 path.(i).trips
+    done;
+    !acc
+  end
   else begin
     let product = ref 1.0 in
     let span = ref 0.0 in
     let min_stride = ref infinity in
-    List.iter
-      (fun (l : Analysis.loop_node) ->
-        match List.assoc_opt l.index a.coeffs with
-        | Some c when c <> 0.0 ->
-            let stride = Float.abs c *. float_of_int l.step in
-            product := !product *. Float.max 1.0 l.trips;
-            span := !span +. (stride *. Float.max 0.0 (l.trips -. 1.0));
-            min_stride := Float.min !min_stride stride
-        | Some _ | None -> ())
-      chain;
+    for i = first to last do
+      let c = coef.(i) in
+      if c <> 0.0 then begin
+        let l = path.(i) in
+        let stride = Float.abs c *. float_of_int l.step in
+        product := !product *. Float.max 1.0 l.trips;
+        span := !span +. (stride *. Float.max 0.0 (l.trips -. 1.0));
+        min_stride := Float.min !min_stride stride
+      end
+    done;
     let elements =
       Float.min (!product *. st.distinct) (!span +. st.distinct)
     in
@@ -132,65 +168,75 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
     Float.max cfg.l1.line_bytes (elements *. bytes_per_element)
   end
 
-(* Working set of one full execution of [node]: sum of the footprints of
-   every access in its subtree, each taken over the loops between [node]
-   and the access.  Overlap between accesses to the same array is ignored
-   (conservative). *)
-let working_set cfg (node : Analysis.loop_node) =
-  let rec go chain node =
-    let own =
-      List.fold_left
-        (fun acc st -> acc +. footprint cfg chain st)
-        0.0
-        (streams_of_accesses node.Analysis.accesses)
-    in
-    List.fold_left
-      (fun acc child -> acc +. go (chain @ [ child ]) child)
-      own node.Analysis.children
-  in
-  go [ node ] node
+(* A loop annotated for pricing, built once per [estimate]: its body's
+   streams, each with its footprint over every window [path.(j..depth)]
+   that ends at this loop, and [ws.(j)], this subtree's share of the
+   working set of its ancestor at depth [j]. *)
+type priced = {
+  node : Analysis.loop_node;
+  path : Analysis.loop_node array;  (* outermost first, ending at [node] *)
+  streams : (stream * float array) list;
+  ws : float array;
+  kids : priced list;
+}
 
-(* Memory cost of one access executed [executions] times total, where
-   [path] is the chain of enclosing loops outermost-first (last element is
-   the loop whose body contains the access).
+(* Working set of one full execution of a loop: sum of the footprints of
+   every access in its subtree, each taken over the loops between that
+   loop and the access.  Overlap between accesses to the same array is
+   ignored (conservative).  The sums run in subtree order, streams first,
+   then children. *)
+let rec annotate cfg path (node : Analysis.loop_node) =
+  let path = Array.append path [| node |] in
+  let depth = Array.length path - 1 in
+  let streams =
+    List.map
+      (fun st ->
+        let coef =
+          Array.map
+            (fun (l : Analysis.loop_node) ->
+              match Analysis.assoc_name l.index st.coeffs with Some c -> c | None -> 0.0)
+            path
+        in
+        (st, Array.init (depth + 1) (fun first -> footprint cfg path ~first st coef)))
+      (streams_of_accesses node.accesses)
+  in
+  let kids = List.map (annotate cfg path) node.children in
+  let ws =
+    Array.init (depth + 1) (fun j ->
+        let own = List.fold_left (fun acc (_, fp) -> acc +. fp.(j)) 0.0 streams in
+        List.fold_left (fun acc kid -> acc +. kid.ws.(j)) own kids)
+  in
+  { node; path; streams; ws; kids }
+
+(* Memory cost of one stream of the loop at [path[n-1]], whose body runs
+   [entries.(n-1) * trips.(n-1)] times in all; [fp.(j)] is the stream's
+   footprint over [path[j..]] and [path_ws.(j)] the working set of that
+   window.
 
    Reuse-scope analysis: for a cache level C, find the outermost enclosing
    loop whose full-execution working set fits in C; everything fetched
    during one execution of that loop stays resident, so the number of
    fetches that miss C is (executions of that loop) x (distinct lines the
    access touches during one such execution). *)
-let access_cost cfg ~path ~ws_of_suffix (st : stream) =
-  let a = st.rep in
-  let n = List.length path in
-  (* entries.(j) = number of times loop path[j] is entered; trips
-     products of enclosing loops. *)
-  let trips = Array.of_list (List.map (fun (l : Analysis.loop_node) -> Float.max 1.0 l.trips) path) in
-  let entries = Array.make n 1.0 in
-  for j = 1 to n - 1 do
-    entries.(j) <- entries.(j - 1) *. trips.(j - 1)
-  done;
+let access_cost cfg ~entries ~trips ~path_ws ((st : stream), fp) =
+  let n = Array.length entries in
   let total_executions = entries.(n - 1) *. trips.(n - 1) in
   let total_accesses = total_executions *. st.mult in
-  let lines_touched j =
-    (* Distinct lines touched during one full execution of path[j..]. *)
-    let window = List.filteri (fun i _ -> i >= j) path in
-    footprint cfg window st /. cfg.l1.line_bytes
-  in
   let fetches_beyond level_size =
     (* Outermost j such that the working set of path[j..] fits. *)
     let rec find j =
       if j >= n then None
-      else if ws_of_suffix j <= level_size then Some j
+      else if path_ws.(j) <= level_size then Some j
       else find (j + 1)
     in
     match find 0 with
-    | Some j -> entries.(j) *. lines_touched j
+    | Some j -> entries.(j) *. (fp.(j) /. cfg.l1.line_bytes)
     | None ->
         (* Not even one innermost-loop execution fits: miss on every
            access. *)
         total_accesses
   in
-  if not a.affine then
+  if not st.affine then
     (* Gather: every execution reaches L2, half reach memory. *)
     total_accesses
     *. (cfg.l2.latency_cycles +. (0.5 *. cfg.memory_latency))
@@ -224,6 +270,13 @@ let add_breakdown a b =
     seconds = 0.0;
   }
 
+let compare_invariant (a1, c1, o1) (a2, c2, o2) =
+  let k = String.compare a1 a2 in
+  if k <> 0 then k
+  else
+    let k = compare_coeffs c1 c2 in
+    if k <> 0 then k else Float.compare o1 o2
+
 (* Live float values in an innermost iteration: loop-invariant array
    elements are register-promoted, each statement needs a destination, and
    a few scratch temporaries. *)
@@ -231,39 +284,37 @@ let register_pressure (node : Analysis.loop_node) =
   let invariant =
     List.filter
       (fun (a : Analysis.access) ->
-        a.affine && not (List.mem_assoc node.index a.coeffs))
+        a.affine && Option.is_none (Analysis.assoc_name node.index a.coeffs))
       node.accesses
   in
   (* Identical invariant references (e.g. the read and write of an
      accumulator) share one register. *)
   let distinct =
-    List.sort_uniq compare
+    List.sort_uniq compare_invariant
       (List.map
          (fun (a : Analysis.access) -> (a.array, a.coeffs, a.offset))
          invariant)
   in
   List.length distinct + int_of_float node.stmts + 4
 
-let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
-  (* [path_ws] carries the working set of each ancestor (computed once at
-     that level) so suffix lookups do not recompute subtree footprints. *)
-  let path = path @ [ node ] in
-  let path_ws = path_ws @ [ working_set cfg node ] in
-  let n = List.length path in
-  let entries =
-    List.fold_left
-      (fun acc (l : Analysis.loop_node) -> acc *. Float.max 1.0 l.trips)
-      1.0
-      (List.filteri (fun i _ -> i < n - 1) path)
-  in
-  let iterations = entries *. Float.max 0.0 node.trips in
-  let ws_arr = Array.of_list path_ws in
-  let ws_of_suffix j = if j >= Array.length ws_arr then 0.0 else ws_arr.(j) in
+(* [path_ws.(j)] is the working set of the ancestor at depth [j],
+   computed once at that level. *)
+let rec cost_of_node cfg ~path_ws (p : priced) =
+  let node = p.node in
+  let path_ws = Array.append path_ws [| p.ws.(Array.length p.path - 1) |] in
+  let n = Array.length p.path in
+  (* entries.(j) = number of times loop path[j] is entered; trips
+     products of enclosing loops. *)
+  let trips = Array.map (fun (l : Analysis.loop_node) -> Float.max 1.0 l.trips) p.path in
+  let entries = Array.make n 1.0 in
+  for j = 1 to n - 1 do
+    entries.(j) <- entries.(j - 1) *. trips.(j - 1)
+  done;
+  let iterations = entries.(n - 1) *. Float.max 0.0 node.trips in
   let mem =
     List.fold_left
-      (fun acc st -> acc +. access_cost cfg ~path ~ws_of_suffix st)
-      0.0
-      (streams_of_accesses node.accesses)
+      (fun acc s -> acc +. access_cost cfg ~entries ~trips ~path_ws s)
+      0.0 p.streams
   in
   let insts = (2.0 *. node.stmts) +. node.flops +. node.iops in
   let compute_per_iter =
@@ -273,11 +324,11 @@ let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
   in
   let compute = iterations *. compute_per_iter in
   let overhead =
-    (entries *. cfg.loop_setup_cycles)
+    (entries.(n - 1) *. cfg.loop_setup_cycles)
     +. (iterations *. cfg.loop_overhead_cycles)
   in
   let spill =
-    if node.children = [] then begin
+    if List.is_empty node.children then begin
       let pressure = register_pressure node in
       let excess = float_of_int (max 0 (pressure - cfg.num_fp_registers)) in
       iterations *. excess *. cfg.spill_cycles
@@ -285,7 +336,7 @@ let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
     else 0.0
   in
   let icache =
-    if node.children = [] then begin
+    if List.is_empty node.children then begin
       let code_bytes =
         Analysis.innermost_code_size node *. cfg.bytes_per_instruction
       in
@@ -305,14 +356,14 @@ let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
     }
   in
   List.fold_left
-    (fun acc child -> add_breakdown acc (cost_of_node cfg ~path ~path_ws child))
-    own node.children
+    (fun acc kid -> add_breakdown acc (cost_of_node cfg ~path_ws kid))
+    own p.kids
 
 let estimate cfg (a : Analysis.t) =
   let b =
     List.fold_left
       (fun acc root ->
-        add_breakdown acc (cost_of_node cfg ~path:[] ~path_ws:[] root))
+        add_breakdown acc (cost_of_node cfg ~path_ws:[||] (annotate cfg [||] root)))
       zero a.roots
   in
   let straightline = a.straightline_stmts *. 2.0 /. cfg.issue_width in

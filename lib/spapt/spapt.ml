@@ -247,10 +247,10 @@ type cache = {
   capacity : int;
 }
 
-let cache_hits = lazy (Metrics.counter "spapt.cache.hits")
-let cache_misses = lazy (Metrics.counter "spapt.cache.misses")
-let cache_evictions = lazy (Metrics.counter "spapt.cache.evictions")
-let cache_entries = lazy (Metrics.gauge "spapt.cache.entries")
+let cache_hits = Metrics.counter "spapt.cache.hits"
+let cache_misses = Metrics.counter "spapt.cache.misses"
+let cache_evictions = Metrics.counter "spapt.cache.evictions"
+let cache_entries = Metrics.gauge "spapt.cache.entries"
 
 let cache_create capacity =
   { table = Hashtbl.create 1024; ring = Queue.create (); capacity }
@@ -259,10 +259,10 @@ let cache_find c key =
   match Hashtbl.find_opt c.table key with
   | Some e ->
       e.referenced <- true;
-      Metrics.incr (Lazy.force cache_hits);
+      Metrics.incr cache_hits;
       Some e.value
   | None ->
-      Metrics.incr (Lazy.force cache_misses);
+      Metrics.incr cache_misses;
       None
 
 let cache_add c key value =
@@ -278,13 +278,13 @@ let cache_add c key value =
           Queue.push k c.ring
       | Some _ ->
           Hashtbl.remove c.table k;
-          Metrics.incr (Lazy.force cache_evictions)
+          Metrics.incr cache_evictions
       | None -> ()
     done;
     let key = Array.copy key in
     Hashtbl.replace c.table key { value; referenced = false };
     Queue.push key c.ring;
-    Metrics.set_gauge (Lazy.force cache_entries)
+    Metrics.set_gauge cache_entries
       (float_of_int (Hashtbl.length c.table))
   end
 

@@ -222,6 +222,69 @@ let test_tiled_kernel_precision () =
   Alcotest.(check bool) "tiled i still parallel" true
     (Dependence.parallel tiled "i")
 
+let test_stepped_loop_copies () =
+  (* An unrolled body under step 4: [j] only takes multiples of 4, so the
+     copies [A[j]] and [A[j + 1]] never meet, while [A[j + 4]] does reach
+     the next iteration's [A[j]].  A lower bound on a step-8 tile loop
+     keeps the point loop aligned too. *)
+  let unrolled =
+    k
+      {|
+kernel u(N = 16) {
+  array A[N];
+  for j = 0 to N - 4 step 4 {
+    A[j] = A[j] + 1.0;
+    A[j + 1] = A[j + 1] + A[j + 3];
+  }
+}
+|}
+  in
+  Alcotest.(check bool) "copies independent" true
+    (Dependence.parallel unrolled "j");
+  let shifted =
+    k
+      {|
+kernel s(N = 16) {
+  array A[N];
+  for j = 0 to N - 8 step 4 {
+    A[j + 4] = A[j] + 1.0;
+  }
+}
+|}
+  in
+  Alcotest.(check bool) "distance of one step carried" false
+    (Dependence.parallel shifted "j");
+  let tiled =
+    k
+      {|
+kernel t(N = 16) {
+  array A[N];
+  for j_t = 0 to N - 1 step 8 {
+    for j = j_t to j_t + 4 step 4 {
+      A[j + 2] = A[j] + 1.0;
+    }
+  }
+}
+|}
+  in
+  Alcotest.(check bool) "aligned through the tile loop" true
+    (Dependence.parallel tiled "j" && Dependence.parallel tiled "j_t");
+  let unaligned =
+    k
+      {|
+kernel v(N = 16) {
+  array A[N];
+  for j_t = 0 to N - 1 step 2 {
+    for j = j_t to j_t + 4 step 4 {
+      A[j + 2] = A[j] + 1.0;
+    }
+  }
+}
+|}
+  in
+  Alcotest.(check bool) "step-2 tile loop leaves j unaligned mod 4" false
+    (Dependence.parallel unaligned "j_t" && Dependence.parallel unaligned "j")
+
 let test_pp_dependence () =
   let deps = Dependence.dependences recurrence_j in
   Alcotest.(check bool) "printable" true
@@ -260,6 +323,8 @@ let () =
             test_different_arrays_independent;
           Alcotest.test_case "tiled precision" `Quick
             test_tiled_kernel_precision;
+          Alcotest.test_case "stepped loop copies" `Quick
+            test_stepped_loop_copies;
           Alcotest.test_case "printer" `Quick test_pp_dependence;
         ] );
     ]

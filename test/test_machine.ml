@@ -209,11 +209,80 @@ let prop_flops_invariant_runtime_bounded =
           let r = rt k' /. rt k in
           r > 0.05 && r < 20.0)
 
+(* Differential oracle: the live [Analysis.analyze] and [Machine.estimate]
+   must agree bit for bit with the verbatim reference in sim_reference.ml,
+   on seeded random configurations of every SPAPT kernel, at default and
+   at small problem sizes. *)
+
+module Spapt = Altune_spapt.Spapt
+module Rng = Altune_prng.Rng
+
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let access_equal (a : Analysis.access) (b : Analysis.access) =
+  String.equal a.array b.array
+  && Bool.equal a.is_write b.is_write
+  && List.equal
+       (fun (u, c) (v, d) -> String.equal u v && bits_equal c d)
+       a.coeffs b.coeffs
+  && bits_equal a.offset b.offset
+  && Bool.equal a.affine b.affine
+
+let rec node_equal (a : Analysis.loop_node) (b : Analysis.loop_node) =
+  String.equal a.index b.index
+  && bits_equal a.trips b.trips
+  && Int.equal a.step b.step
+  && List.equal access_equal a.accesses b.accesses
+  && bits_equal a.flops b.flops
+  && bits_equal a.iops b.iops
+  && bits_equal a.stmts b.stmts
+  && List.equal node_equal a.children b.children
+
+let analysis_equal (a : Analysis.t) (b : Analysis.t) =
+  List.equal node_equal a.roots b.roots
+  && List.equal
+       (fun (u, x) (v, y) -> String.equal u v && bits_equal x y)
+       a.array_elements b.array_elements
+  && bits_equal a.straightline_stmts b.straightline_stmts
+
+let breakdown_equal (a : Machine.breakdown) (b : Machine.breakdown) =
+  bits_equal a.compute_cycles b.compute_cycles
+  && bits_equal a.memory_cycles b.memory_cycles
+  && bits_equal a.overhead_cycles b.overhead_cycles
+  && bits_equal a.spill_penalty_cycles b.spill_penalty_cycles
+  && bits_equal a.icache_penalty_cycles b.icache_penalty_cycles
+  && bits_equal a.total_cycles b.total_cycles
+  && bits_equal a.seconds b.seconds
+
+let benches = Array.of_list (Spapt.all ())
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"analyze and estimate bit-equal to the reference"
+    ~count:150
+    QCheck.(pair (int_range 0 10) (int_bound 1_000_000))
+    (fun (b, seed) ->
+      let bench = benches.(b) in
+      let config = Spapt.random_config bench (Rng.create ~seed) in
+      let k = Spapt.transformed bench config in
+      List.for_all
+        (fun param_overrides ->
+          let live = Analysis.analyze ~param_overrides k in
+          let reference = Sim_reference.Analysis.analyze ~param_overrides k in
+          analysis_equal live reference
+          && breakdown_equal
+               (Machine.estimate Machine.default live)
+               (Sim_reference.Machine.estimate Machine.default reference))
+        [ []; Spapt.small_params bench ])
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
       [ prop_runtime_positive_under_transform;
         prop_flops_invariant_runtime_bounded ]
+    @ [
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+          prop_matches_reference;
+      ]
   in
   Alcotest.run "machine"
     [
