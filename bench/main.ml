@@ -413,128 +413,6 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
     iter_n iter_s iter_rate (per iter_words iter_n)
     surrogate_json_path
 
-(* --- Transformation-prefix forking benchmark ------------------------ *)
-
-(* Sibling-heavy candidate batches — one random base configuration per
-   batch with its last knob swept over every value, the shape a
-   batched learner iteration produces — evaluated twice from cold
-   caches: from scratch with forking disabled (sequential, the pre-PR
-   path), then through the transformation-prefix trie with each batch
-   fanned out on the pool.  The two instances must agree
-   float-for-float (forking is designed to be byte-inert), so the
-   section doubles as a differential audit; the record carries the
-   measured prefix-reuse rate and the from-scratch/forked speedup.
-   Records land in BENCH_fork.json for the bench-diff gate against
-   bench/fork_baseline.json and in BENCH_harness.json alongside the
-   section wall times. *)
-let fork_json_path = "BENCH_fork.json"
-
-let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
-  let module Rng = Altune_prng.Rng in
-  let module Spapt = Altune_spapt.Spapt in
-  let module Fork = Altune_spapt.Fork in
-  let benches = [ "mm"; "mvt"; "hessian"; "lu" ] in
-  let n_bases = 24 in
-  let batches_of name =
-    let b = Spapt.create name in
-    let rng =
-      Rng.create ~seed:(Rng.derive ~seed:42 [ Rng.S "bench.fork"; Rng.S name ])
-    in
-    let knobs = Array.of_list (Spapt.knobs b) in
-    let last = Array.length knobs - 1 in
-    let card = Spapt.knob_cardinality knobs.(last) in
-    List.init n_bases (fun _ ->
-        let base = Spapt.random_config b rng in
-        List.init card (fun v ->
-            let c = Array.copy base in
-            c.(last) <- v;
-            c))
-  in
-  let plans = List.map (fun name -> (name, batches_of name)) benches in
-  let n_configs =
-    List.fold_left
-      (fun acc (_, bs) -> acc + List.fold_left (fun a b -> a + List.length b) 0 bs)
-      0 plans
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* From-scratch baseline: forking off, every config transformed and
-     priced independently, in sequence. *)
-  let flat_values, flat_s =
-    timed (fun () ->
-        List.map
-          (fun (name, batches) ->
-            let b = Spapt.create name in
-            Spapt.set_fork b false;
-            List.concat_map
-              (List.map (fun c -> Spapt.true_runtime b c))
-              batches)
-          plans)
-  in
-  (* Forked: same batches resolved through the prefix trie, each batch
-     prepared (evaluated) as one pool fan-out before being read back. *)
-  let (fork_values, stats), fork_s =
-    timed (fun () ->
-        let stats = ref [] in
-        let values =
-          List.map
-            (fun (name, batches) ->
-              let b = Spapt.create name in
-              Spapt.set_pool b (Some (Runs.pool ()));
-              let vs =
-                List.concat_map
-                  (fun batch ->
-                    Spapt.prepare b batch;
-                    List.map (fun c -> Spapt.true_runtime b c) batch)
-                  batches
-              in
-              stats := Spapt.fork_stats b :: !stats;
-              vs)
-            plans
-        in
-        (values, !stats))
-  in
-  if flat_values <> fork_values then
-    failwith
-      "fork bench: forked evaluations diverged from from-scratch baseline";
-  let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
-  let reused = sum (fun (s : Fork.stats) -> s.steps_reused) in
-  let applied = sum (fun (s : Fork.stats) -> s.steps_applied) in
-  let nodes = sum (fun (s : Fork.stats) -> s.nodes) in
-  let reuse =
-    if reused + applied = 0 then 0.0
-    else float_of_int reused /. float_of_int (reused + applied)
-  in
-  let speedup = if fork_s > 0.0 then flat_s /. fork_s else 0.0 in
-  let m = manifest in
-  let record =
-    Printf.sprintf
-      "  {\"section\": \"fork\", \"scale\": %S, \"jobs\": %d, \"seconds\": \
-       %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
-       \"seed\": %d, \"rate\": %.2f, \"rate_unit\": \"x-from-scratch\", \
-       \"reuse_rate\": %.4f, \"configs\": %d, \"trie_nodes\": %d, \
-       \"flat_seconds\": %.3f}"
-      scale_label jobs fork_s m.hostname m.cores m.git_rev m.ocaml_version
-      m.seed speedup reuse n_configs nodes flat_s
-  in
-  append_surrogate_records ~path:fork_json_path [ record ];
-  extra_records := record :: !extra_records;
-  Printf.sprintf
-    "prefix forking: %d benchmarks, %d sibling-heavy batches, %d configs\n\
-     from-scratch : %.3fs (forking off, sequential)\n\
-     forked       : %.3fs (prefix trie + pool fan-out, jobs=%d)\n\
-     speedup      : %.2fx; identical evaluations float-for-float\n\
-     trie         : %d nodes; %d/%d steps served from a cached prefix \
-     (%.0f%% reuse)\n\
-     [fork record appended to %s]\n"
-    (List.length benches)
-    (List.length benches * n_bases)
-    n_configs flat_s fork_s jobs speedup nodes reused (reused + applied)
-    (100.0 *. reuse) fork_json_path
-
 (* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
 
 (* The simulator's micro-benchmark subject: the first seeded random [mm]
@@ -830,14 +708,13 @@ let () =
     let named =
       List.filter_map
         (fun a ->
-          (* `--surrogate`/`--fork` are accepted as aliases for the
-             section names, matching the CI invocations. *)
+          (* `--surrogate` is accepted as an alias for the section
+             name, matching the CI invocation. *)
           let a = if a = "--surrogate" then "surrogate" else a in
-          let a = if a = "--fork" then "fork" else a in
           if
             List.mem a
               [ "table1"; "table2"; "fig1"; "fig2"; "fig5"; "fig6";
-                "ablation"; "serve"; "micro"; "surrogate"; "fork" ]
+                "ablation"; "serve"; "micro"; "surrogate" ]
           then Some a
           else None)
         (List.tl args)
@@ -886,10 +763,6 @@ let () =
       section "surrogate"
         "Surrogate hot path (observe + incremental vs full ALC)" (fun () ->
           run_surrogate ~manifest ~scale_label:scale.Scale.label ~jobs);
-    if wanted "fork" then
-      section "fork"
-        "Prefix forking (trie-resolved candidate batches vs from scratch)"
-        (fun () -> run_fork ~manifest ~scale_label:scale.Scale.label ~jobs);
     if wanted "micro" then
       section "micro" "Micro-benchmarks (Bechamel)" (fun () -> run_micro ())
   in

@@ -286,65 +286,9 @@ let check_cmd name doc =
             "Random configurations to audit per benchmark, in addition to \
              the default configuration.")
   in
-  let fork_audit_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fork-audit" ] ~docv:"N"
-          ~doc:
-            "Differential audit of the transformation-prefix trie: \
-             resolve $(docv) random configurations per benchmark through \
-             the trie and from scratch, and require byte-identical \
-             kernels, verdicts and measurements.")
-  in
-  (* Resolve [n] random configurations through the prefix trie and through
-     from-scratch step application, demanding identical results on every
-     public surface a learner can observe.  Returns the number of
-     mismatches (0 = the trie is inert, as designed). *)
-  let fork_audit ~seed name n =
-    let b_fork = Spapt.create name in
-    let b_flat = Spapt.create name in
-    Spapt.set_fork b_flat false;
-    let rng =
-      Rng.create ~seed:(Rng.derive ~seed [ S "fork-audit"; S name ])
-    in
-    let configs =
-      Array.make (Spapt.dim b_fork) 0
-      :: List.init n (fun _ -> Spapt.random_config b_fork rng)
-    in
-    let mismatches = ref 0 in
-    List.iter
-      (fun c ->
-        let str c = String.concat "," (List.map string_of_int (Array.to_list c)) in
-        let complain what =
-          incr mismatches;
-          Printf.printf "%-12s fork : MISMATCH (%s) at config [%s]\n" name
-            what (str c)
-        in
-        if Spapt.transformed b_fork c <> Spapt.transformed b_flat c then
-          complain "transformed kernel";
-        let v_fork = Spapt.verify_config b_fork c in
-        let v_flat = Spapt.verify_config b_flat c in
-        if Verify.ok v_fork <> Verify.ok v_flat then complain "verdict";
-        let m_seed = Rng.derive ~seed [ S "fork-measure"; S name; S (str c) ] in
-        let sample b =
-          Spapt.measure b ~rng:(Rng.create ~seed:m_seed) ~run_index:1 c
-        in
-        if sample b_fork <> sample b_flat then complain "measurement")
-      configs;
-    let stats = Spapt.fork_stats b_fork in
-    Printf.printf
-      "%-12s fork : %d/%d configurations identical (%d nodes, %.0f%% steps \
-       reused)\n"
-      name
-      (List.length configs - !mismatches)
-      (List.length configs) stats.Altune_spapt.Fork.nodes
-      (100.0 *. Altune_spapt.Fork.reuse_rate stats);
-    !mismatches
-  in
   let term =
     Term.(
-      const (fun seed benchmarks samples fork_samples ->
+      const (fun seed benchmarks samples ->
           check_benchmarks benchmarks;
           let samples = max 0 samples in
           let names =
@@ -388,10 +332,7 @@ let check_cmd name doc =
                   end)
                 configs;
               Printf.printf "%-12s audit: %d/%d configurations sound\n" name
-                !sound (List.length configs);
-              match fork_samples with
-              | None -> ()
-              | Some n -> failures := !failures + fork_audit ~seed name (max 0 n))
+                !sound (List.length configs))
             names;
           if !failures > 0 then begin
             Printf.printf "check: %d failure(s)\n" !failures;
@@ -401,7 +342,7 @@ let check_cmd name doc =
             print_endline
               "check: all kernels lint clean and all audited recipes are \
                sound")
-      $ seed_term $ benchmarks_term $ samples_term $ fork_audit_term)
+      $ seed_term $ benchmarks_term $ samples_term)
   in
   Cmd.v (Cmd.info name ~doc) term
 
@@ -630,7 +571,6 @@ let tune_cmd name doc =
             ~scale_label:scale.Scale.label ~seed
           @@ fun () ->
           let b = Spapt.create bench in
-          Spapt.set_pool b (Some (Runs.pool ()));
           let problem = Adapter.problem_of b in
           let dataset = Runs.dataset_for b scale ~seed in
           let run_key = tune_run_key ~bench ~scale_label:scale.Scale.label in
@@ -732,7 +672,6 @@ let resume_cmd name doc =
                 ~scale_label:meta.scale ~seed:meta.seed
               @@ fun () ->
               let b = Spapt.create meta.bench in
-              Spapt.set_pool b (Some (Runs.pool ()));
               let problem = Adapter.problem_of b in
               let run_key =
                 tune_run_key ~bench:meta.bench ~scale_label:meta.scale

@@ -41,10 +41,6 @@ let generate (problem : Problem.t) ~rng ~n_configs ~test_fraction ~n_obs =
   let n_test = min n_test (n_configs - 1) in
   let test_configs = Array.sub configs 0 n_test in
   let train_configs = Array.sub configs n_test (n_configs - n_test) in
-  (* The whole test panel gets measured below; warming its evaluations as
-     one batch lets the problem share transformation prefixes and fan the
-     work out, without touching the measurement rng stream. *)
-  problem.prepare (Array.to_list test_configs);
   let test_means =
     Array.map
       (fun c ->

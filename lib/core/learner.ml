@@ -361,13 +361,6 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
           Trace.with_span ~name:"learner.seed-sample" ~phase:"candidate-gen"
             (fun () -> sample_unseen settings.n_init)
         in
-        (* Every seed configuration is about to be profiled: warm their
-           deterministic evaluations as one batch (shared transformation
-           prefixes, optional pool fan-out).  No rng is consumed, so the
-           measurement stream below is untouched. *)
-        if List.length seed_configs > 1 then
-          Trace.with_span ~name:"learner.prepare" ~phase:"profiling"
-            (fun () -> problem.prepare seed_configs);
         let seed_welford = ref Welford.empty in
         let seed_data =
           List.filter_map
@@ -666,13 +659,6 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
     in
     if batch = [] then stopped := true
     else begin
-      (* Multi-candidate batches share recipe prefixes; warming them as a
-         group is where the fork trie and the pool earn their keep.
-         Deterministic, rng-free, hence byte-inert on the sequential
-         measurement path below. *)
-      if List.length batch > 1 then
-        Trace.with_span ~name:"learner.prepare" ~phase:"profiling" (fun () ->
-            problem.prepare (List.map (fun (config, _, _) -> config) batch));
       List.iter
         (fun (config, score, revisit) ->
           incr iteration;

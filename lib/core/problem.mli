@@ -20,13 +20,10 @@ type t = {
       (** Cost of building the configuration's binary (charged once per
           distinct configuration). *)
   prepare : config list -> unit;
-      (** Hint that the listed configurations are about to be measured.
-          An implementation may warm deterministic per-configuration
-          state (transformed kernels, evaluation caches) — possibly in
-          parallel — but must not change any observable measurement:
-          [measure] after [prepare] returns exactly what it would have
-          returned without it.  Implementations with nothing to warm use
-          [ignore]. *)
+      (** Unused: nothing calls it, and every problem built in this
+          repository sets it to [ignore].  It is kept only so that code
+          constructing a [Problem.t] outside the libraries, such as the
+          repository benchmark's timing wrapper, still compiles. *)
 }
 
 val key : config -> string

@@ -95,10 +95,6 @@ let dataset_for bench (scale : Scale.t) ~seed =
       Trace.with_span ~name:"runs.dataset" ~phase:"dataset"
         ~attrs:[ ("key", Trace.String key) ]
         (fun () ->
-          (* The dataset's test panel is the biggest single evaluation
-             batch of a run; give the benchmark the pool so its prepare
-             hook can fan the panel out. *)
-          Spapt.set_pool bench (Some (pool ()));
           let problem = Adapter.problem_of bench in
           let rng =
             Rng.create ~seed:(Rng.derive ~seed [ S "dataset"; S key ])
@@ -150,10 +146,6 @@ let curves_for bench (scale : Scale.t) ~seed =
           (fun (tag, settings, r) ->
             let rep_seed = Rng.derive ~seed [ S tag; I r; S name ] in
             let b = Spapt.create name in
-            (* Nested fan-out onto the same pool is safe (the helping
-               scheduler runs subtasks on the waiting worker), so each
-               rep's batch prepares can still use every idle core. *)
-            Spapt.set_pool b (Some (pool ()));
             let problem = Adapter.problem_of b in
             (* A distinct run key per (bench, scale, plan, rep) keeps event
                streams separable and their on-disk order independent of how

@@ -35,46 +35,6 @@ let apply_step step k =
 let apply_steps steps k =
   List.fold_left (fun acc s -> Result.bind acc (apply_step s)) (Ok k) steps
 
-(* Drop the steps {!Transform} treats as exact no-ops, so that two recipes
-   differing only in identity steps share one canonical form.  This is
-   byte-preserving: unroll / unroll-and-jam at factor 1 return the kernel
-   unchanged, and [Transform.tile_nest] ignores every spec entry with tile
-   <= 1 (an all-identity nest applies no rewrite at all).  Factors < 1 are
-   kept — those are refusals, and normalization must not turn an error
-   into a success.  The one behavioral caveat: a factor-1 step naming a
-   missing loop fails in Transform but vanishes here; recipe generators
-   only emit existing loops, and the fork-audit differential check covers
-   the trie's use of this. *)
-let normalize_steps steps =
-  List.filter_map
-    (fun s ->
-      match s with
-      | Unroll { factor = 1; _ } | Unroll_and_jam { factor = 1; _ } -> None
-      | Tile_nest spec -> (
-          match List.filter (fun (_, t) -> t > 1) spec with
-          | [] -> None
-          | spec' -> Some (Tile_nest spec'))
-      | Unroll _ | Unroll_and_jam _ | Skew _ | Reverse _ | Fuse _
-      | Distribute _ ->
-          Some s)
-    steps
-
-(* Canonical injective key for a (normalized) step: trie edges are keyed
-   by these.  Loop indices are identifiers (no ':' or '='), so the
-   tag/separator scheme cannot collide across or within variants. *)
-let step_key = function
-  | Unroll { index; factor } -> Printf.sprintf "u:%s:%d" index factor
-  | Tile_nest spec ->
-      "t:"
-      ^ String.concat ":"
-          (List.map (fun (l, t) -> Printf.sprintf "%s=%d" l t) spec)
-  | Unroll_and_jam { index; factor } -> Printf.sprintf "j:%s:%d" index factor
-  | Skew { outer; inner; factor } ->
-      Printf.sprintf "s:%s:%s:%d" outer inner factor
-  | Reverse { index } -> "r:" ^ index
-  | Fuse { first; second } -> Printf.sprintf "f:%s:%s" first second
-  | Distribute { index } -> "d:" ^ index
-
 type status = Pass | Fail of string | Skipped of string
 
 type check = { check_name : string; status : status }
@@ -135,7 +95,7 @@ let verdict_to_string v = Format.asprintf "%a" pp_verdict v
 
 (* --- Legality, re-derived from the dependence analysis --- *)
 
-let legality_in summary k step : status =
+let legality k step : status =
   try
     match step with
     | Unroll _ ->
@@ -159,7 +119,7 @@ let legality_in summary k step : status =
         match
           List.find_opt
             (fun (a, b) ->
-              not (Dependence.interchange_in summary ~outer:a ~inner:b))
+              not (Dependence.interchange_legal k ~outer:a ~inner:b))
             (pairs tiled)
         with
         | None -> Pass
@@ -170,7 +130,7 @@ let legality_in summary k step : status =
                   would reverse a dependence"
                  a b))
     | Unroll_and_jam { index; _ } ->
-        if Dependence.jam_in summary index then Pass
+        if Dependence.jam_legal k index then Pass
         else
           Fail
             (Printf.sprintf
@@ -178,7 +138,7 @@ let legality_in summary k step : status =
                 iterations are interleaved innermost"
                index)
     | Reverse { index } -> (
-        match Dependence.carried_in summary index with
+        match Dependence.carried_by k index with
         | [] -> Pass
         | d :: _ ->
             Fail
@@ -186,9 +146,6 @@ let legality_in summary k step : status =
                  "loop %s carries a %a, which reversal would flip" index
                  Dependence.pp_dependence d))
     | Fuse { first; second } ->
-        (* Fusion/distribution legality works on per-region access sets,
-           not the kernel-wide dependence list, so the summary does not
-           apply — these recompute from the kernel. *)
         if Dependence.fusion_legal k ~first ~second then Pass
         else
           Fail
@@ -206,17 +163,12 @@ let legality_in summary k step : status =
                index)
   with e -> Fail ("legality analysis raised: " ^ Printexc.to_string e)
 
-let legality k step : status =
-  match step with
-  | Unroll _ | Skew _ -> Pass
-  | Tile_nest _ | Unroll_and_jam _ | Reverse _ | Fuse _ | Distribute _ -> (
-      match Dependence.summarize k with
-      | exception e ->
-          Fail ("legality analysis raised: " ^ Printexc.to_string e)
-      | summary -> legality_in summary k step)
-
 (* --- Interpreter-based checks --- *)
 
+(* Deterministic input filler for differential runs: a hash of (array
+   name, flat offset) mapped into [0.5, 1.5), so no element is zero
+   (kernels divide by array elements) and any two runs see identical
+   inputs. *)
 let default_array_init name i =
   let h = Hashtbl.hash (name, i) land 0xFFFF in
   (float_of_int h /. 65536.0) +. 0.5
@@ -269,24 +221,22 @@ let lex_negative dirs =
   in
   go dirs
 
-let summary_sound summary : status =
-  match
-    List.find_opt
-      (fun (d : Dependence.dependence) -> lex_negative d.directions)
-      (Dependence.summary_dependences summary)
-  with
-  | None -> Pass
-  | Some d ->
-      Fail
-        (Format.asprintf
-           "normalization invariant violated: %a is lexicographically \
-            negative"
-           Dependence.pp_dependence d)
-
 let dependences_sound k : status =
-  match Dependence.summarize k with
+  match Dependence.dependences k with
   | exception e -> Fail ("dependence analysis raised: " ^ Printexc.to_string e)
-  | summary -> summary_sound summary
+  | deps -> (
+      match
+        List.find_opt
+          (fun (d : Dependence.dependence) -> lex_negative d.directions)
+          deps
+      with
+      | None -> Pass
+      | Some d ->
+          Fail
+            (Format.asprintf
+               "normalization invariant violated: %a is lexicographically \
+                negative"
+               Dependence.pp_dependence d))
 
 let approx_equal ~tolerance a b =
   Float.abs (a -. b)

@@ -48,20 +48,6 @@ val apply_steps :
   step list -> Ast.kernel -> (Ast.kernel, Transform.error) result
 (** Left-to-right application, stopping at the first refusal. *)
 
-val normalize_steps : step list -> step list
-(** Drop the steps {!Transform} treats as exact no-ops (unroll and
-    unroll-and-jam at factor 1; tile-nest entries with tile <= 1, the
-    whole step when nothing remains), so that recipes differing only in
-    identity steps share one canonical form.  Applying the normalized
-    list yields a byte-identical kernel to applying the original,
-    provided every dropped step names an existing loop (recipe
-    generators guarantee this; the fork audit re-checks it
-    differentially). *)
-
-val step_key : step -> string
-(** Canonical injective key for a step — equal keys iff equal steps.
-    The transformation-prefix trie uses these as edge labels. *)
-
 type status = Pass | Fail of string | Skipped of string
 
 type check = { check_name : string; status : status }
@@ -83,24 +69,6 @@ val legality : Ast.kernel -> step -> status
 (** Dependence-derived legality of applying [step] to the kernel,
     computed without consulting {!Transform}. *)
 
-val legality_in : Dependence.summary -> Ast.kernel -> step -> status
-(** {!legality} against a precomputed dependence summary of the same
-    kernel: callers holding a cached summary (the fork trie) skip the
-    per-query re-analysis.  Fusion and distribution still consult the
-    kernel directly — their predicates are regional, not summary-based. *)
-
-val well_formed : ?param_overrides:(string * int) list -> Ast.kernel -> status
-(** {!Ast.validate} plus {!Lint} with no errors — the "well-formed" check
-    of {!run} and {!check_pair}. *)
-
-val dependences_sound : Ast.kernel -> status
-(** Re-run the dependence analysis and require every direction vector to
-    be lexicographically non-negative (the analysis' normalization
-    invariant) — the "dependences" check of {!run} and {!check_pair}. *)
-
-val summary_sound : Dependence.summary -> status
-(** {!dependences_sound} against a precomputed summary. *)
-
 val check_pair :
   ?param_overrides:(string * int) list ->
   ?tolerance:float ->
@@ -110,8 +78,8 @@ val check_pair :
   check list
 (** The post-state checks alone (lint, dependence re-analysis, access
     counts, differential execution) for an original/transformed pair,
-    without knowledge of which steps produced it — the cheap whole-recipe
-    variant the [~verify] problem gate uses. *)
+    without knowledge of which steps produced it; {!run} applies them
+    after every step. *)
 
 val run :
   ?param_overrides:(string * int) list ->
@@ -127,9 +95,3 @@ val run :
     skipped.  [param_overrides] selects small problem sizes for the
     interpreter-based checks (differential execution at default sizes is
     usually prohibitively slow). *)
-
-val default_array_init : string -> int -> float
-(** The deterministic pseudo-random input filler used for differential
-    runs: a hash of (array name, flat offset) mapped into [0.5, 1.5), so
-    no element is zero (kernels divide by array elements) and any two
-    runs see identical inputs. *)

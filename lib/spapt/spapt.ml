@@ -6,7 +6,6 @@ module Machine = Altune_machine.Machine
 module Noise = Altune_noise.Noise
 module Rng = Altune_prng.Rng
 module Distributions = Altune_stats.Distributions
-module Pool = Altune_exec.Pool
 module Metrics = Altune_obs.Metrics
 
 type knob =
@@ -296,16 +295,6 @@ type t = {
   noise : Noise.t;
   cache : cache;  (* config -> (true runtime, compile seconds) *)
   salt : int;  (* per-benchmark seed of the noise field *)
-  fork : Fork.t;
-      (* Transformation-prefix trie: resolves recipes by reusing the
-         deepest cached prefix.  Resolved kernels are byte-identical to
-         from-scratch application, so it stays on by default; [set_fork]
-         exists for differential baselines and benchmarks. *)
-  mutable fork_enabled : bool;
-  mutable pool : Pool.t option;
-      (* When set, [prepare] fans candidate evaluations out on this pool
-         (slot-indexed, order-preserving) instead of computing them one
-         by one on first use. *)
   mutable share : share option;
       (* When set, evaluation results are obtained through this function
          instead of the private cache — the hook a multi-tenant server
@@ -348,17 +337,10 @@ let create ?(machine = Machine.default) ?(cache_capacity = 8192) bench_name =
        field of every simulated measurement. *)
     salt =
       Rng.derive ~seed:0x5eed [ Rng.S "spapt.noise-field"; Rng.S bench_name ];
-    fork = Fork.create kernel;
-    fork_enabled = true;
-    pool = None;
     share = None;
   }
 
 let set_share t share = t.share <- share
-let set_fork t on = t.fork_enabled <- on
-let fork_enabled t = t.fork_enabled
-let fork_stats t = Fork.stats t.fork
-let set_pool t pool = t.pool <- pool
 
 let all () = List.map (fun (n, _) -> create n) specs
 
@@ -433,12 +415,7 @@ let recipe t config =
   tiles @ jams @ unrolls
 
 let transformed t config =
-  let steps = recipe t config in
-  let result =
-    if t.fork_enabled then Fork.resolve t.fork steps
-    else Verify.apply_steps steps t.kernel
-  in
-  match result with
+  match Verify.apply_steps (recipe t config) t.kernel with
   | Ok k -> k
   | Error e ->
       invalid_arg
@@ -463,14 +440,9 @@ let verify_config t config =
     Printf.sprintf "%s [%s]" t.bench_name
       (String.concat "," (List.map string_of_int (Array.to_list config)))
   in
-  if t.fork_enabled then
-    Fork.audit
-      ~param_overrides:(small_params t)
-      ~subject t.fork (recipe t config)
-  else
-    Verify.run
-      ~param_overrides:(small_params t)
-      ~subject t.kernel (recipe t config)
+  Verify.run
+    ~param_overrides:(small_params t)
+    ~subject t.kernel (recipe t config)
 
 let features t config =
   check_config t config;
@@ -508,62 +480,6 @@ let evaluate t config =
           let v = compute_evaluation t config in
           cache_add t.cache config v;
           v)
-
-let prepare t configs =
-  match t.share with
-  | Some _ ->
-      (* A hooked instance holds no private evaluation state; batching
-         would race the server's compute-once memo for no benefit. *)
-      ()
-  | None -> (
-      let seen = Hashtbl.create 16 in
-      let missing =
-        List.filter
-          (fun c ->
-            if
-              (not (config_valid t c))
-              || Hashtbl.mem t.cache.table c
-              || Hashtbl.mem seen c
-            then false
-            else begin
-              Hashtbl.add seen c ();
-              true
-            end)
-          configs
-      in
-      match missing with
-      | [] | [ _ ] -> () (* nothing worth batching *)
-      | batch ->
-          (* compute_evaluation is deterministic and mutates only the
-             mutex-guarded fork trie, so fanning it out and writing the
-             slot-indexed results back sequentially yields byte-identical
-             cache contents at any job count. *)
-          let results =
-            match t.pool with
-            | Some pool when Pool.jobs pool > 1 ->
-                (* One task per worker, not per config: a single
-                   evaluation is ~ms-scale, so per-config tasks would
-                   drown in scheduling overhead.  Contiguous chunks keep
-                   the concatenated results in input order. *)
-                let jobs = Pool.jobs pool in
-                let n = List.length batch in
-                let arr = Array.of_list batch in
-                let chunk i =
-                  let lo = i * n / jobs and hi = (i + 1) * n / jobs in
-                  Array.to_list (Array.sub arr lo (hi - lo))
-                in
-                let chunks =
-                  List.filter (fun c -> c <> []) (List.init jobs chunk)
-                in
-                List.concat
-                  (Pool.map
-                     ~label:(fun i -> Printf.sprintf "spapt.eval chunk %d" i)
-                     pool
-                     (fun cs -> List.map (fun c -> compute_evaluation t c) cs)
-                     chunks)
-            | _ -> List.map (fun c -> compute_evaluation t c) batch
-          in
-          List.iter2 (fun c v -> cache_add t.cache c v) batch results)
 
 let true_runtime t config = fst (evaluate t config)
 let compile_seconds t config = snd (evaluate t config)

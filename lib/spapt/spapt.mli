@@ -62,37 +62,7 @@ val transformed : t -> int array -> Altune_kernellang.Ast.kernel
 (** The kernel with the configuration's transformations applied —
     [recipe] run through {!Altune_kernellang.Verify.apply_steps}.  Raises
     [Invalid_argument] if the configuration is out of range; transformation
-    recipes are total over valid configurations.  With forking enabled
-    (the default) the recipe is resolved through the benchmark's
-    transformation-prefix trie ({!Fork}), which is byte-identical to
-    from-scratch application. *)
-
-val set_fork : t -> bool -> unit
-(** Enable or disable prefix-trie resolution for {!transformed},
-    {!verify_config} and every measurement behind them.  Disabling is
-    for differential baselines (e.g. [altune check --fork-audit], the
-    [--fork] bench section): resolved kernels are byte-identical either
-    way. *)
-
-val fork_enabled : t -> bool
-
-val fork_stats : t -> Fork.stats
-(** Prefix-reuse counters of the benchmark's trie. *)
-
-val set_pool : t -> Altune_exec.Pool.t option -> unit
-(** Give the benchmark an execution pool for {!prepare} to fan batches
-    out on.  [None] (the default) computes batches sequentially. *)
-
-val prepare : t -> int array list -> unit
-(** Warm the evaluation cache for a batch of configurations about to be
-    measured: uncached members (deduplicated, invalid ones skipped) are
-    evaluated — in parallel on the {!set_pool} pool when one is set with
-    jobs > 1 — and the results written back in input order.  Because
-    every evaluation is deterministic, a warmed cache changes no
-    observable output at any job count; subsequent {!measure} /
-    {!true_runtime} calls just stop paying for the transform.  No-op
-    when a {!set_share} hook is installed (the shared memo owns
-    evaluation state) and for batches smaller than two. *)
+    recipes are total over valid configurations. *)
 
 val small_params : t -> (string * int) list
 (** Problem-size overrides small enough for interpreter-based soundness

@@ -231,6 +231,25 @@ let test_recipes_audit_sound () =
         Alcotest.failf "%s: %s" name (Verify.verdict_to_string v))
     [ "mm"; "hessian"; "atax" ]
 
+(* A tiny evaluation cache must still produce correct values: eviction
+   only ever costs recomputation, never a wrong answer. *)
+let test_cache_eviction_correct () =
+  let name = "lu" in
+  let rng = Rng.create ~seed:13 in
+  let unbounded = Spapt.create name in
+  let tiny = Spapt.create ~cache_capacity:4 name in
+  let configs = List.init 30 (fun _ -> Spapt.random_config unbounded rng) in
+  (* Two passes so the second pass re-reads keys the first evicted. *)
+  for _ = 1 to 2 do
+    List.iter
+      (fun c ->
+        Alcotest.(check (float 0.0))
+          "evicting cache agrees with unbounded"
+          (Spapt.true_runtime unbounded c)
+          (Spapt.true_runtime tiny c))
+      configs
+  done
+
 (* Property: recipes are total and validated over the whole space. *)
 let prop_recipe_total =
   QCheck.Test.make ~name:"recipes total over random configurations" ~count:80
@@ -276,6 +295,11 @@ let () =
           Alcotest.test_case "mean runtime" `Quick test_mean_runtime;
           Alcotest.test_case "features normalized" `Quick
             test_features_normalized;
+        ] );
+      ( "inertness",
+        [
+          Alcotest.test_case "cache eviction only recomputes" `Quick
+            test_cache_eviction_correct;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_recipe_total ]);
     ]
