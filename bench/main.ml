@@ -2,28 +2,27 @@
    evaluation section at the `quick` scale, then runs Bechamel
    micro-benchmarks over the hot paths of the implementation.
 
-   Run with: dune exec bench/main.exe
-   Pass --scale standard (or paper) for larger experiment scales,
-   --jobs N to fan experiments out over N domains (results are
-   bit-identical at any job count), --benchmarks a,b to restrict the
-   benchmark set, --fault-spec crash=0.05,timeout=0.02 to inject
-   deterministic simulated faults into every learner run,
-   --progress for live per-task reporting, --trace FILE
-   to record a JSONL span trace (summarize with `altune trace-summary`),
-   --events FILE to record the learner decision stream (render with
-   `altune report`), --metrics to dump the metrics registry to stderr
-   at exit, or a subset
-   of section names (table1 table2 fig1 fig2 fig5 fig6 ablation serve
-   surrogate micro) to run only those.  The surrogate section (alias
-   --surrogate) benchmarks the dynamic-tree hot path — observe
-   throughput, incremental vs full-recompute ALC — and writes
-   BENCH_surrogate.json for the bench-diff gate.  The serve section
-   drives --serve-load N
-   (default 200) synthetic tuning sessions with overlapping config
-   demand through the in-process tuning server, recording sessions/sec
-   and the cross-session memo hit rate.  Per-section wall times are
-   appended to
-   BENCH_harness.json, stamped with the run manifest (host, cores, git
+   Run with: dune exec bench/main.exe -- [OPTION VALUE | FLAG | SECTION]...
+   Options: --scale smoke|quick|standard|paper, --jobs N (or -j N) to fan
+   experiments out over N domains (results are bit-identical at any job
+   count), --benchmarks a,b to restrict the benchmark set, --fault-spec
+   crash=0.05,timeout=0.02 to inject deterministic simulated faults into
+   every learner run, --trace FILE to record a JSONL span trace
+   (summarize with `altune trace-summary`), --events FILE to record the
+   learner decision stream (render with `altune report`), --serve-load N
+   and --snapshots FILE for the serve section.  Flags: --progress for
+   live per-task reporting, --metrics to dump the metrics registry to
+   stderr at exit.  Sections: table1 table2 fig1 fig2 fig5 fig6 ablation
+   serve surrogate micro; naming none runs them all, and any other
+   argument is an error (exit 2).
+
+   The surrogate section benchmarks the dynamic-tree hot path (observe
+   throughput, incremental vs full-recompute ALC).  The serve section
+   drives --serve-load N (default 200) synthetic tuning sessions with
+   overlapping config demand through the in-process tuning server and
+   records sessions/sec and the cross-session memo counters.  Every
+   section's bench records are appended to BENCH_harness.json with
+   [Bench_diff.append], stamped with the run manifest (host, cores, git
    rev, ...) so the performance trajectory stays interpretable across
    machines and commits. *)
 
@@ -35,71 +34,25 @@ module Trace = Altune_obs.Trace
 module Metrics = Altune_obs.Metrics
 module Manifest = Altune_obs.Manifest
 module Events = Altune_obs.Events
+module Bench_diff = Altune_obs.Bench_diff
+module Json = Altune_obs.Json
 
-(* (section id, wall seconds) of every section run, for BENCH_harness.json. *)
-let timings : (string * float) list ref = ref []
-
-(* Fully-formed extra records appended by sections that measure more
-   than wall time (the serve section's throughput record), in the same
-   one-"  {...}"-line format as the timing records. *)
-let extra_records : string list ref = ref []
-
-let section id name f =
+(* Run one section under a trace span, printing its output and wall
+   time.  [f] returns the output and the section's own bench records; a
+   section that measures nothing beyond wall time gets one plain timing
+   record. *)
+let section manifest id name f =
   Printf.printf "==============================================================\n";
   Printf.printf "%s\n" name;
   Printf.printf "==============================================================\n%!";
   let t0 = Unix.gettimeofday () in
-  print_string (Trace.with_span ~name:("bench." ^ id) f);
+  let out, records = Trace.with_span ~name:("bench." ^ id) f in
+  print_string out;
   let dt = Unix.gettimeofday () -. t0 in
-  timings := (id, dt) :: !timings;
-  Printf.printf "\n[%s regenerated in %.1fs wall time]\n\n%!" name dt
-
-(* The file is a flat JSON array of {section, scale, jobs, seconds, ...}
-   records; successive runs append rather than overwrite, so the
-   performance trajectory (across job counts, scales and commits) lives in
-   one machine-readable place.  Existing records are recovered line-wise —
-   the file is only ever written by this function, one record per line.
-   Each new record carries the run manifest (host, cores, git rev, OCaml
-   version, seed) so an anomalous timing, like a jobs=4 run that is slower
-   than jobs=1, can be traced back to the machine that produced it. *)
-let write_harness_json ~path ~scale ~jobs ~(manifest : Manifest.t) =
-  let existing =
-    if not (Sys.file_exists path) then []
-    else begin
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 3 && String.sub line 0 3 = "  {" then begin
-             let line =
-               if line.[String.length line - 1] = ',' then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             lines := line :: !lines
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines
-    end
-  in
-  let fresh =
-    List.rev_map
-      (fun (id, dt) ->
-        Printf.sprintf
-          "  {\"section\": %S, \"scale\": %S, \"jobs\": %d, \"seconds\": \
-           %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": \
-           %S, \"seed\": %d}"
-          id scale jobs dt manifest.hostname manifest.cores manifest.git_rev
-          manifest.ocaml_version manifest.seed)
-      !timings
-  in
-  let records = existing @ fresh @ List.rev !extra_records in
-  let oc = open_out path in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" records);
-  close_out oc
+  Printf.printf "\n[%s regenerated in %.1fs wall time]\n\n%!" name dt;
+  match records with
+  | [] -> [ Bench_diff.record_json ~section:id ~seconds:dt manifest ]
+  | rs -> rs
 
 (* --- Tuning-service load generator --------------------------------- *)
 
@@ -111,8 +64,8 @@ let write_harness_json ~path ~scale ~jobs ~(manifest : Manifest.t) =
    them queue under admission control), then tick requests step every
    live session in parallel until the whole fleet has completed.  The
    returned summary is deterministic (simulated quantities only); the
-   wall-derived sessions/sec rate goes into the harness record. *)
-let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
+   wall-derived sessions/sec rate goes into the section's bench record. *)
+let run_serve_load ~manifest ~jobs ~sessions ?snapshots () =
   let module Server = Altune_serve.Server in
   let module P = Altune_serve.Protocol in
   let benches = Array.of_list Altune_spapt.Kernels.names in
@@ -221,79 +174,56 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
   let rate =
     if seconds > 0.0 then float_of_int sessions /. seconds else 0.0
   in
-  let m : Manifest.t = manifest in
-  extra_records :=
+  let record =
+    Bench_diff.record_json ~section:"serve" ~seconds ~rate:(rate, "sess/s")
+      ~extra:
+        [
+          ("sessions", Json.Int sessions);
+          ("memo_lookups", Json.Int memo.P.m_lookups);
+          ("memo_entries", Json.Int memo.P.m_entries);
+          ("memo_hits", Json.Int memo.P.m_hits);
+          ("memo_shared_keys", Json.Int memo.P.m_shared_keys);
+          ("memo_cross_hits", Json.Int memo.P.m_cross_hits);
+          ( "memo_cross_hit_rate",
+            Json.Float
+              (if memo.P.m_lookups = 0 then 0.0
+               else
+                 float_of_int memo.P.m_cross_hits
+                 /. float_of_int memo.P.m_lookups) );
+        ]
+      manifest
+  in
+  let summary =
     Printf.sprintf
-      "  {\"section\": \"serve\", \"scale\": %S, \"jobs\": %d, \"seconds\": \
-       %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
-       \"seed\": %d, \"sessions\": %d, \"sessions_per_sec\": %.2f, \
-       \"memo_lookups\": %d, \"memo_entries\": %d, \"memo_hits\": %d, \
-       \"memo_shared_keys\": %d, \"memo_cross_hits\": %d, \
-       \"memo_cross_hit_rate\": %.4f}"
-      scale_label jobs seconds m.hostname m.cores m.git_rev m.ocaml_version
-      m.seed sessions rate memo.P.m_lookups memo.P.m_entries memo.P.m_hits
+      "serve load: %d sessions over %d kernels x %d seeds (%d distinct \
+       workloads)\n\
+       admission : %d live slots, FIFO queue, %d ticks of %d iterations\n\
+       completed : %d done, %d live, %d queued (all sessions ran to their \
+       %d-iteration cap)\n\
+       memo      : %d evaluation lookups, %d distinct configs computed, %d \
+       hits (%.1f%%)\n\
+       sharing   : %d keys touched by 2+ sessions; %d cross-session hits \
+       (%.1f%% of lookups)\n"
+      sessions n_benches n_seeds
+      (min sessions (n_benches * n_seeds))
+      max_live !ticks tick_iterations stats.P.s_done stats.P.s_live
+      stats.P.s_queued n_max memo.P.m_lookups memo.P.m_entries memo.P.m_hits
+      (pct memo.P.m_hits memo.P.m_lookups)
       memo.P.m_shared_keys memo.P.m_cross_hits
-      (if memo.P.m_lookups = 0 then 0.0
-       else float_of_int memo.P.m_cross_hits /. float_of_int memo.P.m_lookups)
-    :: !extra_records;
-  Printf.sprintf
-    "serve load: %d sessions over %d kernels x %d seeds (%d distinct \
-     workloads)\n\
-     admission : %d live slots, FIFO queue, %d ticks of %d iterations\n\
-     completed : %d done, %d live, %d queued (all sessions ran to their \
-     %d-iteration cap)\n\
-     memo      : %d evaluation lookups, %d distinct configs computed, %d \
-     hits (%.1f%%)\n\
-     sharing   : %d keys touched by 2+ sessions; %d cross-session hits \
-     (%.1f%% of lookups)\n"
-    sessions n_benches n_seeds
-    (min sessions (n_benches * n_seeds))
-    max_live !ticks tick_iterations stats.P.s_done stats.P.s_live
-    stats.P.s_queued n_max memo.P.m_lookups memo.P.m_entries memo.P.m_hits
-    (pct memo.P.m_hits memo.P.m_lookups)
-    memo.P.m_shared_keys memo.P.m_cross_hits
-    (pct memo.P.m_cross_hits memo.P.m_lookups)
+      (pct memo.P.m_cross_hits memo.P.m_lookups)
+  in
+  (summary, [ record ])
 
 (* --- Surrogate hot-path microbenchmark ------------------------------ *)
 
 (* Measure the dynamic-tree inner loop at a learner-shaped workload
    (ensemble observe throughput, fast incremental ALC, and the pre-PR
-   full-recompute ALC kept behind [Dynatree.force_full_alc]) and write
-   the records to BENCH_surrogate.json in the Bench_diff format, so CI
-   can gate them against the committed bench/surrogate_baseline.json.
-   Rates use a generic "rate"/"rate_unit" pair; allocations are reported
-   as minor words per operation (Gc.minor_words delta), which is exact
-   and deterministic, unlike the wall-clock rates. *)
-let surrogate_json_path = "BENCH_surrogate.json"
-
-let append_surrogate_records ~path records =
-  let existing =
-    if not (Sys.file_exists path) then []
-    else begin
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 3 && String.sub line 0 3 = "  {" then begin
-             let line =
-               if line.[String.length line - 1] = ',' then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             lines := line :: !lines
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines
-    end
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (existing @ records));
-  close_out oc
-
-let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
+   full-recompute ALC kept behind [Dynatree.force_full_alc]) and return
+   one bench record per measurement, so CI can gate them against the
+   committed bench/surrogate_baseline.json.  Allocations are reported as
+   minor words per operation (Gc.minor_words delta), which is exact and
+   deterministic, unlike the wall-clock rates. *)
+let run_surrogate manifest =
   let module Rng = Altune_prng.Rng in
   let module Dt = Altune_dynatree.Dynatree in
   let dim = 8 and n_particles = 300 in
@@ -368,50 +298,47 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
   in
   let iter_rate = float_of_int iter_n /. iter_s in
   let per op_words ops = op_words /. float_of_int ops in
-  let m = manifest in
-  let record ~section ~seconds ~rate ~rate_unit ~words_per_op =
-    Printf.sprintf
-      "  {\"section\": %S, \"scale\": %S, \"jobs\": %d, \"seconds\": %.3f, \
-       \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
-       \"seed\": %d, \"rate\": %.1f, \"rate_unit\": %S, \
-       \"minor_words_per_op\": %.1f}"
-      section scale_label jobs seconds m.hostname m.cores m.git_rev
-      m.ocaml_version m.seed rate rate_unit words_per_op
+  let record ~section ~seconds ~rate ~words_per_op =
+    Bench_diff.record_json ~section ~seconds ~rate
+      ~extra:[ ("minor_words_per_op", Json.Float (Float.round words_per_op)) ]
+      manifest
   in
-  append_surrogate_records ~path:surrogate_json_path
+  let records =
     [
-      record ~section:"surrogate-observe" ~seconds:obs_s ~rate:obs_rate
-        ~rate_unit:"particles/s"
+      record ~section:"surrogate-observe" ~seconds:obs_s
+        ~rate:(obs_rate, "particles/s")
         ~words_per_op:(per obs_words n_timed_obs);
-      record ~section:"surrogate-alc" ~seconds:fast_s ~rate:fast_rate
-        ~rate_unit:"scores/s"
+      record ~section:"surrogate-alc" ~seconds:fast_s
+        ~rate:(fast_rate, "scores/s")
         ~words_per_op:(per fast_words alc_fast_iters);
-      record ~section:"surrogate-alc-full" ~seconds:slow_s ~rate:slow_rate
-        ~rate_unit:"scores/s"
+      record ~section:"surrogate-alc-full" ~seconds:slow_s
+        ~rate:(slow_rate, "scores/s")
         ~words_per_op:(per slow_words alc_slow_iters);
-      record ~section:"surrogate-iteration" ~seconds:iter_s ~rate:iter_rate
-        ~rate_unit:"iterations/s"
+      record ~section:"surrogate-iteration" ~seconds:iter_s
+        ~rate:(iter_rate, "iterations/s")
         ~words_per_op:(per iter_words iter_n);
-    ];
-  Printf.sprintf
-    "surrogate hot path: %d particles, dim %d, %d refs, %d candidates\n\
-     observe   : %d ensemble updates in %.3fs — %.0f particles/s (%.0f \
-     minor words/observe)\n\
-     alc fast  : %d calls in %.3fs — %.3e scores/s (%.0f minor words/call)\n\
-     alc full  : %d calls in %.3fs — %.3e scores/s (%.0f minor words/call)\n\
-     fast/full : %.1fx on identical model state\n\
-     iteration : %d observe+score steps in %.3fs — %.1f iterations/s \
-     (%.0f minor words/iter)\n\
-     [surrogate records appended to %s]\n"
-    n_particles dim n_refs n_cands n_timed_obs obs_s obs_rate
-    (per obs_words n_timed_obs)
-    alc_fast_iters fast_s fast_rate
-    (per fast_words alc_fast_iters)
-    alc_slow_iters slow_s slow_rate
-    (per slow_words alc_slow_iters)
-    (fast_rate /. slow_rate)
-    iter_n iter_s iter_rate (per iter_words iter_n)
-    surrogate_json_path
+    ]
+  in
+  let summary =
+    Printf.sprintf
+      "surrogate hot path: %d particles, dim %d, %d refs, %d candidates\n\
+       observe   : %d ensemble updates in %.3fs — %.0f particles/s (%.0f \
+       minor words/observe)\n\
+       alc fast  : %d calls in %.3fs — %.3e scores/s (%.0f minor words/call)\n\
+       alc full  : %d calls in %.3fs — %.3e scores/s (%.0f minor words/call)\n\
+       fast/full : %.1fx on identical model state\n\
+       iteration : %d observe+score steps in %.3fs — %.1f iterations/s \
+       (%.0f minor words/iter)\n"
+      n_particles dim n_refs n_cands n_timed_obs obs_s obs_rate
+      (per obs_words n_timed_obs)
+      alc_fast_iters fast_s fast_rate
+      (per fast_words alc_fast_iters)
+      alc_slow_iters slow_s slow_rate
+      (per slow_words alc_slow_iters)
+      (fast_rate /. slow_rate)
+      iter_n iter_s iter_rate (per iter_words iter_n)
+  in
+  (summary, records)
 
 (* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
 
@@ -593,107 +520,123 @@ let run_micro () =
        (simulator_minor_words sim_kernel));
   Buffer.contents buf
 
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let value_options =
+  [ "--scale"; "--jobs"; "-j"; "--benchmarks"; "--trace"; "--events";
+    "--fault-spec"; "--serve-load"; "--snapshots" ]
+
+let flag_options = [ "--metrics"; "--progress" ]
+
+(* Split the command line into option values (the last occurrence wins),
+   flags and everything else; a value is never read as a section name. *)
+let parse_args args =
+  let rec go opts flags rest = function
+    | [] -> (opts, flags, List.rev rest)
+    | o :: more when List.mem o value_options -> (
+        let o = if o = "-j" then "--jobs" else o in
+        match more with
+        | v :: more -> go ((o, v) :: opts) flags rest more
+        | [] -> die "%s needs a value" o)
+    | f :: more when List.mem f flag_options -> go opts (f :: flags) rest more
+    | a :: more -> go opts flags (a :: rest) more
+  in
+  go [] [] [] args
+
 let () =
-  let args = Array.to_list Sys.argv in
+  let opts, flags, named = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let opt name = List.assoc_opt name opts in
   let scale =
-    let rec find = function
-      | "--scale" :: label :: _ -> (
-          match Scale.of_label label with
-          | Some s -> s
-          | None ->
-              Printf.eprintf "unknown scale %s\n" label;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> Scale.quick
-    in
-    find args
+    match opt "--scale" with
+    | None -> Scale.quick
+    | Some label -> (
+        match Scale.of_label label with
+        | Some s -> s
+        | None -> die "unknown scale %s" label)
   in
-  let jobs =
-    let rec find = function
-      | ("--jobs" | "-j") :: n :: _ -> (
-          match int_of_string_opt n with
-          | Some j when j >= 1 -> j
-          | Some _ | None ->
-              Printf.eprintf "--jobs needs a positive integer, got %s\n" n;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> Pool.default_jobs ()
-    in
-    find args
+  let positive name default =
+    match opt name with
+    | None -> default
+    | Some n -> (
+        match int_of_string_opt n with
+        | Some v when v >= 1 -> v
+        | Some _ | None -> die "%s needs a positive integer, got %s" name n)
   in
+  let jobs = positive "--jobs" (Pool.default_jobs ()) in
+  let serve_load = positive "--serve-load" 200 in
   let benchmarks =
-    let rec find = function
-      | "--benchmarks" :: names :: _ ->
-          Some (String.split_on_char ',' names)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    let known = Altune_spapt.Kernels.names in
-    Option.iter
-      (List.iter (fun n ->
-           if not (List.mem n known) then begin
-             Printf.eprintf "unknown benchmark %S; known: %s\n" n
-               (String.concat ", " known);
-             exit 2
-           end))
-      (find args);
-    find args
-  in
-  let trace =
-    let rec find = function
-      | "--trace" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let events =
-    let rec find = function
-      | "--events" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+    Option.map
+      (fun names ->
+        let names = String.split_on_char ',' names in
+        let known = Altune_spapt.Kernels.names in
+        List.iter
+          (fun n ->
+            if not (List.mem n known) then
+              die "unknown benchmark %S; known: %s" n (String.concat ", " known))
+          names;
+        names)
+      (opt "--benchmarks")
   in
   let fault =
-    let rec find = function
-      | "--fault-spec" :: spec :: _ -> (
-          match Altune_exec.Fault.of_string spec with
-          | Ok sp -> Some sp
-          | Error e ->
-              Printf.eprintf "--fault-spec: %s\n" e;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+    Option.map
+      (fun spec ->
+        match Altune_exec.Fault.of_string spec with
+        | Ok sp -> sp
+        | Error e -> die "--fault-spec: %s" e)
+      (opt "--fault-spec")
   in
-  let serve_load =
-    let rec find = function
-      | "--serve-load" :: n :: _ -> (
-          match int_of_string_opt n with
-          | Some s when s >= 1 -> s
-          | Some _ | None ->
-              Printf.eprintf "--serve-load needs a positive integer, got %s\n"
-                n;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> 200
-    in
-    find args
+  let trace = opt "--trace" and events = opt "--events" in
+  let snapshots = opt "--snapshots" in
+  let seed = 42 in
+  let manifest = Manifest.capture ~scale:scale.Scale.label ~jobs ~seed () in
+  let plain f () = (f (), []) in
+  let sections =
+    [
+      ( "fig1",
+        "Figure 1 (mm unroll plane: MAE and optimal samples)",
+        plain (fun () -> Drivers.fig1 ~scale ~seed ()) );
+      ( "fig2",
+        "Figure 2 (adi runtime vs unroll factor)",
+        plain (fun () -> Drivers.fig2 ~scale ~seed ()) );
+      ( "table2",
+        "Table 2 (noise spread across each space)",
+        plain (fun () -> Drivers.table2 ?benchmarks ~scale ~seed ()) );
+      ( "table1",
+        "Table 1 (lowest common error, cost, speed-up)",
+        plain (fun () -> Drivers.table1 ?benchmarks ~scale ~seed ()) );
+      ( "fig5",
+        "Figure 5 (profiling-cost reduction)",
+        plain (fun () -> Drivers.fig5 ?benchmarks ~scale ~seed ()) );
+      ( "fig6",
+        "Figure 6 (error vs cost for three sampling plans)",
+        plain (fun () -> Drivers.fig6 ?benchmarks ~scale ~seed ()) );
+      ( "ablation",
+        "Ablation (design choices of the adaptive learner)",
+        plain (fun () -> Drivers.ablation ~scale ~seed ()) );
+      ( "serve",
+        Printf.sprintf
+          "Serve (tuning-as-a-service load: %d multi-tenant sessions)"
+          serve_load,
+        fun () ->
+          run_serve_load ~manifest ~jobs ~sessions:serve_load ?snapshots () );
+      ( "surrogate",
+        "Surrogate hot path (observe + incremental vs full ALC)",
+        fun () -> run_surrogate manifest );
+      ("micro", "Micro-benchmarks (Bechamel)", plain run_micro);
+    ]
   in
-  let snapshots =
-    let rec find = function
-      | "--snapshots" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let metrics = List.mem "--metrics" args in
-  let progress = List.mem "--progress" args in
+  List.iter
+    (fun a ->
+      if not (List.exists (fun (id, _, _) -> id = a) sections) then
+        die "unknown argument %S (not an option or a section name)" a)
+    named;
   let on_event =
-    if not progress then None
+    if not (List.mem "--progress" flags) then None
     else
       Some
         (function
@@ -704,25 +647,6 @@ let () =
   in
   Runs.set_jobs ?on_event jobs;
   Runs.set_fault fault;
-  let wanted name =
-    let named =
-      List.filter_map
-        (fun a ->
-          (* `--surrogate` is accepted as an alias for the section
-             name, matching the CI invocation. *)
-          let a = if a = "--surrogate" then "surrogate" else a in
-          if
-            List.mem a
-              [ "table1"; "table2"; "fig1"; "fig2"; "fig5"; "fig6";
-                "ablation"; "serve"; "micro"; "surrogate" ]
-          then Some a
-          else None)
-        (List.tl args)
-    in
-    named = [] || List.mem name named
-  in
-  let seed = 42 in
-  let manifest = Manifest.capture ~scale:scale.Scale.label ~jobs ~seed () in
   Printf.printf
     "altune benchmark harness — reproducing every table and figure of\n\
      'Minimizing the Cost of Iterative Compilation with Active Learning'\n\
@@ -731,40 +655,11 @@ let () =
      target.\n\n%!"
     scale.Scale.label seed jobs;
   let run_all () =
-    if wanted "fig1" then
-      section "fig1" "Figure 1 (mm unroll plane: MAE and optimal samples)"
-        (fun () -> Drivers.fig1 ~scale ~seed ());
-    if wanted "fig2" then
-      section "fig2" "Figure 2 (adi runtime vs unroll factor)" (fun () ->
-          Drivers.fig2 ~scale ~seed ());
-    if wanted "table2" then
-      section "table2" "Table 2 (noise spread across each space)" (fun () ->
-          Drivers.table2 ?benchmarks ~scale ~seed ());
-    if wanted "table1" then
-      section "table1" "Table 1 (lowest common error, cost, speed-up)"
-        (fun () -> Drivers.table1 ?benchmarks ~scale ~seed ());
-    if wanted "fig5" then
-      section "fig5" "Figure 5 (profiling-cost reduction)" (fun () ->
-          Drivers.fig5 ?benchmarks ~scale ~seed ());
-    if wanted "fig6" then
-      section "fig6" "Figure 6 (error vs cost for three sampling plans)"
-        (fun () -> Drivers.fig6 ?benchmarks ~scale ~seed ());
-    if wanted "ablation" then
-      section "ablation" "Ablation (design choices of the adaptive learner)"
-        (fun () -> Drivers.ablation ~scale ~seed ());
-    if wanted "serve" then
-      section "serve"
-        (Printf.sprintf
-           "Serve (tuning-as-a-service load: %d multi-tenant sessions)"
-           serve_load) (fun () ->
-          run_serve_load ~manifest ~scale_label:scale.Scale.label ~jobs
-            ~sessions:serve_load ?snapshots ());
-    if wanted "surrogate" then
-      section "surrogate"
-        "Surrogate hot path (observe + incremental vs full ALC)" (fun () ->
-          run_surrogate ~manifest ~scale_label:scale.Scale.label ~jobs);
-    if wanted "micro" then
-      section "micro" "Micro-benchmarks (Bechamel)" (fun () -> run_micro ())
+    List.concat_map
+      (fun (id, title, f) ->
+        if named = [] || List.mem id named then section manifest id title f
+        else [])
+      sections
   in
   let run_all () =
     match events with
@@ -772,11 +667,17 @@ let () =
     | Some path ->
         Events.with_file path ~manifest:(Manifest.to_json manifest) run_all
   in
-  (match trace with
-  | None -> run_all ()
-  | Some path ->
-      Trace.with_file path ~manifest:(Manifest.to_json manifest) run_all);
-  write_harness_json ~path:"BENCH_harness.json" ~scale:scale.Scale.label
-    ~jobs ~manifest;
-  Printf.printf "[per-section wall times written to BENCH_harness.json]\n%!";
-  if metrics then prerr_string (Metrics.render ())
+  let records =
+    match trace with
+    | None -> run_all ()
+    | Some path ->
+        Trace.with_file path ~manifest:(Manifest.to_json manifest) run_all
+  in
+  (match Bench_diff.append "BENCH_harness.json" records with
+  | Ok () ->
+      Printf.printf "[%d bench record(s) appended to BENCH_harness.json]\n%!"
+        (List.length records)
+  | Error e ->
+      Printf.eprintf "BENCH_harness.json: %s\n" e;
+      exit 1);
+  if List.mem "--metrics" flags then prerr_string (Metrics.render ())

@@ -688,47 +688,6 @@ let resume_cmd name doc =
   in
   Cmd.v (Cmd.info name ~doc) term
 
-(* Append one throughput record to a BENCH_harness.json-format file,
-   preserving existing records (same line protocol as bench/main.ml's
-   write_harness_json: one "  {...}" line per record). *)
-let append_concheck_record ~path ~seed ~schedules ~seconds =
-  let manifest = Manifest.capture ~scale:"conc" ~jobs:1 ~seed () in
-  let existing =
-    if not (Sys.file_exists path) then []
-    else begin
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 3 && String.sub line 0 3 = "  {" then begin
-             let line =
-               if line.[String.length line - 1] = ',' then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             lines := line :: !lines
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines
-    end
-  in
-  let rate = if seconds > 0.0 then float_of_int schedules /. seconds else 0.0 in
-  let fresh =
-    Printf.sprintf
-      "  {\"section\": \"concheck\", \"scale\": %S, \"jobs\": %d, \
-       \"seconds\": %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \
-       \"ocaml\": %S, \"seed\": %d, \"schedules\": %d, \
-       \"schedules_per_sec\": %.0f}"
-      manifest.scale 1 seconds manifest.hostname manifest.cores
-      manifest.git_rev manifest.ocaml_version manifest.seed schedules rate
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (existing @ [ fresh ]));
-  close_out oc
-
 let concheck_cmd name doc =
   let schedules_term =
     Arg.(
@@ -771,8 +730,8 @@ let concheck_cmd name doc =
       & opt (some string) None
       & info [ "bench-out" ] ~docv:"FILE"
           ~doc:
-            "Append an aggregate schedules/sec throughput record to \
-             $(docv) (BENCH_harness.json format, manifest-stamped).")
+            "Append an aggregate schedules/sec throughput record to the \
+             bench file $(docv) (e.g. BENCH_harness.json).")
   in
   let list_term =
     Arg.(
@@ -835,13 +794,13 @@ let concheck_cmd name doc =
                 (fun acc (r : Conc_explore.report) -> acc + r.schedules_run)
                 0 reports
             in
+            let rate =
+              if wall > 0.0 then float_of_int total_schedules /. wall else 0.0
+            in
             Printf.printf
               "concheck: %d scenario(s), %d schedules in %.2fs (%.0f \
                schedules/sec), seed %d\n"
-              (List.length reports) total_schedules wall
-              (if wall > 0.0 then float_of_int total_schedules /. wall
-               else 0.0)
-              seed;
+              (List.length reports) total_schedules wall rate seed;
             (match report_file with
             | None -> ()
             | Some path ->
@@ -853,9 +812,19 @@ let concheck_cmd name doc =
                 Printf.printf "concheck: full report in %s\n" path);
             (match bench_out with
             | None -> ()
-            | Some path ->
-                append_concheck_record ~path ~seed ~schedules:total_schedules
-                  ~seconds:wall);
+            | Some path -> (
+                let record =
+                  Bench_diff.record_json ~section:"concheck" ~seconds:wall
+                    ~rate:(rate, "sched/s")
+                    ~extra:
+                      [ ("schedules", Altune_obs.Json.Int total_schedules) ]
+                    (Manifest.capture ~scale:"conc" ~jobs:1 ~seed ())
+                in
+                match Bench_diff.append path [ record ] with
+                | Ok () -> ()
+                | Error e ->
+                    Printf.eprintf "concheck: %s: %s\n" path e;
+                    Stdlib.exit 1));
             if !failures > 0 then begin
               Printf.printf "concheck: %d scenario(s) FAILED\n" !failures;
               Stdlib.exit 1

@@ -138,6 +138,41 @@ let pool_exception =
             Printf.sprintf "first-failure=%d ran=%d" i (Atomic.get ran));
   }
 
+(* The failure path of nested fan-out: the raising task sits in an inner
+   batch while its outer siblings fan out too, so they are blocked on the
+   pool lock or helping drain when the failure lands.  A hang anywhere on
+   the way out (an inner batch that never drains, a worker never woken to
+   see [stop]) is a global blocked state to the checker. *)
+let pool_nested_exception =
+  {
+    name = "pool_nested_exn";
+    descr =
+      "a task of an inner fan-out raises while outer siblings block on \
+       the pool lock or help drain: with_pool re-raises the original \
+       exception and joins every worker on every schedule";
+    expect = Clean;
+    small = false;
+    run =
+      (fun () ->
+        let outcome, deltas =
+          counters [ "pool.tasks" ] (fun () ->
+              match
+                Pool.with_pool ~jobs:3 (fun p ->
+                    Pool.map p
+                      (fun row ->
+                        Pool.map p
+                          (fun col ->
+                            if row = 1 && col = 0 then raise (Boom 10);
+                            (10 * row) + col)
+                          [ 0; 1 ])
+                      [ 0; 1; 2 ])
+              with
+              | _ -> "no exception (bug)"
+              | exception Boom i -> Printf.sprintf "raised=Boom %d" i)
+        in
+        Printf.sprintf "%s %s" outcome (String.concat " " deltas));
+  }
+
 (* --- Memo scenarios ---------------------------------------------------- *)
 
 let memo_share =
@@ -420,6 +455,7 @@ let all =
     pool_map ~jobs:3;
     pool_nested;
     pool_exception;
+    pool_nested_exception;
     memo_share;
     memo_retry;
     memo_clear;

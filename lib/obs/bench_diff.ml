@@ -6,8 +6,7 @@ type record = {
   host : string option;
   cores : int option;
   git_rev : string option;
-  rate : float option;
-  rate_unit : string option;
+  rate : (float * string) option;
 }
 
 type delta = {
@@ -17,9 +16,7 @@ type delta = {
   baseline_s : float;
   current_s : float;
   delta_pct : float;
-  baseline_rate : float option;
-  current_rate : float option;
-  rate_unit : string option;
+  rate : (float * float * string) option;
 }
 
 type diff = {
@@ -29,7 +26,27 @@ type diff = {
   unmatched : int;
 }
 
-(* --- Loading ----------------------------------------------------------- *)
+let ( let* ) = Result.bind
+
+(* --- Records ----------------------------------------------------------- *)
+
+(* Wall-clock readings carry no more than milliseconds (and rates no
+   more than tenths) of signal; rounding keeps each record line short. *)
+let rounded digits x =
+  let p = 10.0 ** float_of_int digits in
+  Json.Float (Float.round (x *. p) /. p)
+
+let record_json ?rate ?(extra = []) ~section ~seconds m =
+  let rate =
+    match rate with
+    | Some (r, unit) ->
+        [ ("rate", rounded 1 r); ("rate_unit", Json.String unit) ]
+    | None -> []
+  in
+  Json.Obj
+    ((("section", Json.String section) :: ("seconds", rounded 3 seconds)
+      :: Manifest.fields m)
+    @ rate @ extra)
 
 let record_of_json j =
   let str key = Option.bind (Json.member key j) Json.to_string_opt in
@@ -45,22 +62,10 @@ let record_of_json j =
       in
       let host = if null_manifest then None else str "host" in
       let cores = if null_manifest then None else int "cores" in
-      (* Throughput-style records carry a rate alongside their wall time;
-         plain timing records don't.  New-style records say so directly
-         with "rate"/"rate_unit"; older sections used bespoke keys
-         (concheck's schedules/sec, serve's sessions/sec), kept readable
-         so committed baselines survive. *)
-      let rate, rate_unit =
+      let rate =
         match (float "rate", str "rate_unit") with
-        | Some r, Some u -> (Some r, Some u)
-        | Some r, None -> (Some r, Some "ops/s")
-        | None, _ -> (
-            match float "schedules_per_sec" with
-            | Some r -> (Some r, Some "sched/s")
-            | None -> (
-                match float "sessions_per_sec" with
-                | Some r -> (Some r, Some "sess/s")
-                | None -> (None, None)))
+        | Some r, Some u -> Some (r, u)
+        | _ -> None
       in
       Ok
         {
@@ -72,29 +77,56 @@ let record_of_json j =
           cores;
           git_rev = str "git_rev";
           rate;
-          rate_unit;
         }
   | _ -> Error "bench record: missing section/scale/jobs/seconds"
 
-let of_json = function
-  | Json.List items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | j :: rest -> (
-            match record_of_json j with
-            | Ok r -> go (r :: acc) rest
-            | Error e -> Error e)
-      in
-      go [] items
+(* --- Files ------------------------------------------------------------- *)
+
+let items = function
+  | Json.List items -> Ok items
   | _ -> Error "bench file: expected a JSON array of records"
 
-let load path =
+let records_of_items items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | j :: rest ->
+        let* r = record_of_json j in
+        go (r :: acc) rest
+  in
+  go [] items
+
+let of_json j = Result.bind (items j) records_of_items
+
+let read_json path =
   try
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Result.bind (Json.of_string s) of_json
+    let ic = open_in_bin path in
+    let s =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    Json.of_string s
+  with Sys_error e -> Error e
+
+let load path = Result.bind (read_json path) of_json
+
+(* Old and new records are checked and rendered together, so the file is
+   always exactly what [load] reads: one record per line. *)
+let append path records =
+  let* existing =
+    if Sys.file_exists path then Result.bind (read_json path) items else Ok []
+  in
+  let all = existing @ records in
+  let* _ = records_of_items all in
+  try
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        Printf.fprintf oc "[\n%s\n]\n"
+          (String.concat ",\n"
+             (List.map (fun j -> "  " ^ Json.to_string j) all)));
+    Ok ()
   with Sys_error e -> Error e
 
 (* --- Matching ---------------------------------------------------------- *)
@@ -155,14 +187,13 @@ let diff ~baseline ~current =
                     baseline_s = b.seconds;
                     current_s = r.seconds;
                     delta_pct;
-                    baseline_rate = b.rate;
-                    current_rate = r.rate;
-                    (* Units come from the current side; a unit change
-                       between files means the section was repurposed
-                       and the rates are incomparable anyway. *)
-                    rate_unit = (match r.rate_unit with
-                      | Some _ as u -> u
-                      | None -> b.rate_unit);
+                    (* The unit comes from the current side; a unit
+                       change between files means the section was
+                       repurposed and the rates are incomparable anyway. *)
+                    rate =
+                      (match (b.rate, r.rate) with
+                      | Some (br, _), Some (cr, unit) -> Some (br, cr, unit)
+                      | _ -> None);
                   }
                   :: deltas,
                   unmatched )
@@ -189,11 +220,9 @@ let render ?max_regress d =
         | _ -> ""
       in
       let rate =
-        match (dl.baseline_rate, dl.current_rate) with
-        | Some b, Some c ->
-            Printf.sprintf "  (%.0f -> %.0f %s)" b c
-              (Option.value ~default:"sched/s" dl.rate_unit)
-        | _ -> ""
+        match dl.rate with
+        | Some (b, c, unit) -> Printf.sprintf "  (%.0f -> %.0f %s)" b c unit
+        | None -> ""
       in
       Buffer.add_string buf
         (Printf.sprintf "%-10s %-9s %4d %12.3f %12.3f %+8.1f%%%s%s\n" dl.section

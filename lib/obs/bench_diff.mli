@@ -1,13 +1,20 @@
-(** Compare two [BENCH_harness.json] files and flag timing regressions.
+(** The bench record file: one writer, one reader, and a diff that flags
+    timing regressions.
 
-    The harness appends one record per section per run, stamped with the
-    run manifest (host, cores, git rev).  A diff only compares records
-    whose {e matching key} — (section, scale, jobs, host, cores) — is
-    identical on both sides: a timing from another machine, another core
-    count, or the pre-manifest era (tagged ["manifest": null]) is
-    skipped, never silently compared.  Within a key the {e last} record
-    wins, since the file is append-only and the newest timing is the
-    current truth.
+    A bench file ([BENCH_harness.json]) is a flat JSON array with one
+    record per line.  Every producer — the harness sections, the
+    surrogate and serve load benchmarks, [altune concheck --bench-out] —
+    builds its records with {!record_json} and writes them with
+    {!append}, so there is one schema: [section] and [seconds], the run
+    manifest (host, cores, git rev, scale, jobs, ...), an optional
+    [rate]/[rate_unit] pair, then section-specific counters.
+
+    A diff only compares records whose {e matching key} — (section,
+    scale, jobs, host, cores) — is identical on both sides: a timing from
+    another machine, another core count, or the pre-manifest era (tagged
+    ["manifest": null]) is skipped, never silently compared.  Within a
+    key the {e last} record wins, since the file is append-only and the
+    newest timing is the current truth.
 
     Drives [altune bench-diff BASELINE CURRENT --max-regress PCT], the
     CI gate that fails a build whose benchmark sections slowed down more
@@ -21,14 +28,12 @@ type record = {
   host : string option;  (** [None]: not comparable (no manifest). *)
   cores : int option;
   git_rev : string option;
-  rate : float option;
-      (** Throughput records ([concheck]'s [schedules_per_sec], the
-          serve load generator's [sessions_per_sec]); [None] for plain
-          timing records.  Purely informational — matching and
-          regression gating stay seconds-based, so mixing throughput
-          records into a bench file never breaks the baseline diff. *)
-  rate_unit : string option;
-      (** Display unit of [rate]: ["sched/s"] or ["sess/s"]. *)
+  rate : (float * string) option;
+      (** Throughput and its display unit (["sched/s"], ["sess/s"],
+          ["scores/s"], ...), read from a record's [rate]/[rate_unit]
+          pair; [None] for plain timing records and for a [rate]
+          without a unit.  Purely informational — matching and
+          regression gating stay seconds-based. *)
 }
 
 type delta = {
@@ -38,9 +43,9 @@ type delta = {
   baseline_s : float;
   current_s : float;
   delta_pct : float;  (** [(current - baseline) / baseline * 100]. *)
-  baseline_rate : float option;
-  current_rate : float option;
-  rate_unit : string option;  (** From the current record when present. *)
+  rate : (float * float * string) option;
+      (** Baseline rate, current rate and the current record's unit,
+          when both records carry a rate. *)
 }
 
 type diff = {
@@ -50,11 +55,30 @@ type diff = {
   unmatched : int;  (** Comparable current records with no baseline. *)
 }
 
+val record_json :
+  ?rate:float * string ->
+  ?extra:(string * Json.t) list ->
+  section:string ->
+  seconds:float ->
+  Manifest.t ->
+  Json.t
+(** The one bench record constructor: [section], [seconds] (rounded to
+    milliseconds), then {!Manifest.fields}, then [rate] (rounded to
+    tenths) and [rate_unit] when [rate] is given, then [extra] (section
+    counters such as [minor_words_per_op] or the memo counters). *)
+
+val append : string -> Json.t list -> (unit, string) result
+(** [append path records] adds [records] to the bench file at [path]
+    (created if missing) and rewrites it one record per line.  If the
+    existing file is not a JSON array, or any old or new item is not a
+    bench record, the result is an [Error] and the file is left
+    untouched. *)
+
 val record_of_json : Json.t -> (record, string) result
 val of_json : Json.t -> (record list, string) result
 
 val load : string -> (record list, string) result
-(** Read a flat JSON array of bench records, as written by the harness. *)
+(** Read a bench file. *)
 
 val diff : baseline:record list -> current:record list -> diff
 

@@ -11,6 +11,7 @@ module Scenarios = Altune_conc.Scenarios
 module Explore = Altune_conc.Explore
 module Bench_diff = Altune_obs.Bench_diff
 module Json = Altune_obs.Json
+module Manifest = Altune_obs.Manifest
 module Rng = Altune_prng.Rng
 
 (* --- Vclock: partial-order laws (QCheck) ------------------------------- *)
@@ -229,6 +230,7 @@ let test_engine_scenarios_clean () =
       "pool_map_j3";
       "pool_nested";
       "pool_exception";
+      "pool_nested_exn";
       "memo_share";
       "memo_retry";
       "memo_clear";
@@ -277,23 +279,35 @@ let test_jobs_invariance () =
 
 (* --- bench-diff tolerates concheck throughput records ------------------ *)
 
-let record_exn s =
-  match Result.bind (Json.of_string s) Bench_diff.record_of_json with
+let record_exn j =
+  match Bench_diff.record_of_json j with
   | Ok r -> r
   | Error e -> Alcotest.failf "record: %s" e
 
 let test_bench_diff_mixed_records () =
+  let manifest =
+    {
+      Manifest.git_rev = "abc";
+      ocaml_version = "5.1.1";
+      hostname = "h";
+      cores = 8;
+      scale = "conc";
+      jobs = 1;
+      seed = 42;
+    }
+  in
   let timing host =
     record_exn
-      (Printf.sprintf
-         {|{"section": "table1", "scale": "smoke", "jobs": 2, "seconds": 3.0, "host": %S, "cores": 8}|}
-         host)
+      (Bench_diff.record_json ~section:"table1" ~seconds:3.0
+         { manifest with hostname = host; scale = "smoke"; jobs = 2 })
   in
+  (* Built exactly as `altune concheck --bench-out` builds its record. *)
   let concheck seconds rate =
     record_exn
-      (Printf.sprintf
-         {|{"section": "concheck", "scale": "conc", "jobs": 1, "seconds": %f, "host": "h", "cores": 8, "schedules": 20000, "schedules_per_sec": %f}|}
-         seconds rate)
+      (Bench_diff.record_json ~section:"concheck" ~seconds
+         ~rate:(rate, "sched/s")
+         ~extra:[ ("schedules", Json.Int 20000) ]
+         manifest)
   in
   (* Baseline without any concheck record: the new record is unmatched,
      never an error. *)

@@ -672,7 +672,6 @@ let record ?host ?cores ~section ~jobs seconds =
     cores;
     git_rev = None;
     rate = None;
-    rate_unit = None;
   }
 
 let test_bench_diff_regression () =
@@ -762,6 +761,111 @@ let test_bench_diff_last_record_wins () =
   | [ dl ] -> Alcotest.(check (float 1e-9)) "newest compared" 10.5 dl.current_s
   | ds -> Alcotest.failf "expected one delta, got %d" (List.length ds)
 
+(* --- Bench file writer --------------------------------------------------- *)
+
+let bench_manifest =
+  {
+    Manifest.git_rev = "abc";
+    ocaml_version = "5.1.1";
+    hostname = "vm";
+    cores = 2;
+    scale = "smoke";
+    jobs = 1;
+    seed = 42;
+  }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let append_exn path records =
+  match Bench_diff.append path records with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "append: %s" e
+
+let load_exn path =
+  match Bench_diff.load path with
+  | Ok rs -> rs
+  | Error e -> Alcotest.failf "load: %s" e
+
+let test_bench_append_round_trip () =
+  let path = Filename.temp_file "altune-bench" ".json" in
+  Sys.remove path;
+  let m = bench_manifest in
+  append_exn path [ Bench_diff.record_json ~section:"table1" ~seconds:1.5 m ];
+  append_exn path
+    [
+      Bench_diff.record_json ~section:"serve" ~seconds:2.0
+        ~rate:(100.0, "sess/s")
+        ~extra:[ ("memo_hits", Json.Int 7) ]
+        m;
+      Bench_diff.record_json ~section:"fig1" ~seconds:0.25 m;
+    ];
+  let rs = load_exn path in
+  Alcotest.(check (list string)) "records in append order"
+    [ "table1"; "serve"; "fig1" ]
+    (List.map (fun (r : Bench_diff.record) -> r.section) rs);
+  (match rs with
+  | [ t; s; _ ] ->
+      Alcotest.(check bool) "plain record has no rate" true (t.rate = None);
+      Alcotest.(check bool) "rate and unit kept" true
+        (s.rate = Some (100.0, "sess/s"));
+      Alcotest.(check (option string)) "manifest host" (Some "vm") s.host;
+      Alcotest.(check int) "manifest jobs" 1 s.jobs
+  | _ -> Alcotest.fail "expected three records");
+  let contents = read_file path in
+  Alcotest.(check int) "one record per line" 5
+    (List.length (String.split_on_char '\n' (String.trim contents)));
+  (match Json.of_string contents with
+  | Ok (Json.List [ _; serve; _ ]) ->
+      Alcotest.(check bool) "extra key kept" true
+        (Json.member "memo_hits" serve = Some (Json.Int 7))
+  | _ -> Alcotest.fail "bench file is not a three-record array");
+  Sys.remove path
+
+let test_bench_append_keeps_null_manifest () =
+  let path = Filename.temp_file "altune-bench" ".json" in
+  write_file path
+    {|[
+  {"section": "table1", "scale": "quick", "jobs": 1, "seconds": 96.945, "manifest": null}
+]
+|};
+  append_exn path
+    [ Bench_diff.record_json ~section:"table1" ~seconds:1.0 bench_manifest ];
+  (match load_exn path with
+  | [ old; fresh ] ->
+      Alcotest.(check bool) "old record still unmatched" true (old.host = None);
+      Alcotest.(check (float 0.0)) "old seconds kept" 96.945 old.seconds;
+      Alcotest.(check (option string)) "new record comparable" (Some "vm")
+        fresh.host
+  | rs -> Alcotest.failf "expected two records, got %d" (List.length rs));
+  (match Json.of_string (read_file path) with
+  | Ok (Json.List (old :: _)) ->
+      Alcotest.(check bool) "manifest:null tag kept" true
+        (Json.member "manifest" old = Some Json.Null)
+  | _ -> Alcotest.fail "bench file is not an array");
+  Sys.remove path
+
+let test_bench_append_rejects_non_array () =
+  let path = Filename.temp_file "altune-bench" ".json" in
+  List.iter
+    (fun contents ->
+      write_file path contents;
+      (match
+         Bench_diff.append path
+           [ Bench_diff.record_json ~section:"t" ~seconds:1.0 bench_manifest ]
+       with
+      | Ok () -> Alcotest.failf "append accepted %S" contents
+      | Error _ -> ());
+      Alcotest.(check string) "file untouched" contents (read_file path))
+    [
+      {|{"section": "table1", "scale": "smoke", "jobs": 1, "seconds": 1.0}|};
+      "  {\"section\": \"table1\"}\n";
+      {|[{"note": "not a bench record"}]|};
+    ];
+  Sys.remove path
+
 let () =
   Alcotest.run "obs"
     [
@@ -838,6 +942,12 @@ let () =
             test_bench_diff_parses_null_manifest;
           Alcotest.test_case "last record wins" `Quick
             test_bench_diff_last_record_wins;
+          Alcotest.test_case "append round trip" `Quick
+            test_bench_append_round_trip;
+          Alcotest.test_case "append keeps manifest:null records" `Quick
+            test_bench_append_keeps_null_manifest;
+          Alcotest.test_case "append rejects a non-array file" `Quick
+            test_bench_append_rejects_non_array;
         ] );
       ( "integration",
         [
